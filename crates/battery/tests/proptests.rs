@@ -1,5 +1,7 @@
 //! Property tests for the battery model.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_battery::charge::{acceptance_limit, gassing_current, split_applied_current};

@@ -75,7 +75,8 @@ fn one_day_60s(controller: Box<dyn PowerController>) -> f64 {
 }
 
 fn timed_batch(iters: u32, mut routine: impl FnMut() -> f64) -> f64 {
-    let start = Instant::now(); // ins-lint: allow(L003)
+    #[expect(clippy::disallowed_methods, reason = "a benchmark measures wall time")]
+    let start = Instant::now();
     for _ in 0..iters {
         black_box(routine());
     }
@@ -223,7 +224,8 @@ fn sweep_report(threads: usize) -> String {
     let shared_bench = |incremental: bool| {
         let samples: Vec<f64> = (0..3)
             .map(|_| {
-                let start = Instant::now(); // ins-lint: allow(L003)
+                #[expect(clippy::disallowed_methods, reason = "a benchmark measures wall time")]
+                let start = Instant::now();
                 black_box(faults::sweep_shared_window(
                     11,
                     &shared_rates,

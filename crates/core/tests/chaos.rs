@@ -7,6 +7,8 @@
 //! SoC in [0, 1], never charge and discharge the same unit in the same
 //! step, never panic or wedge, and produce finite metrics.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_core::controller::{BaselineController, InsureController, PowerController};
 use ins_core::metrics::RunMetrics;
 use ins_core::system::InSituSystem;

@@ -1,5 +1,7 @@
 //! Behavioural integration tests of the control stack.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_battery::BatteryId;
 use ins_cluster::dvfs::DutyCycle;
 use ins_core::config::InsureConfig;

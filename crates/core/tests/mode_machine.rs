@@ -6,6 +6,8 @@
 //! machine to confirm that arbitrary cause sequences can never drive a
 //! unit onto an edge Fig. 8 does not contain.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_core::mode::{transition, BufferMode, TransitionCause};
 use proptest::prelude::*;
 

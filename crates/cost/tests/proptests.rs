@@ -1,5 +1,7 @@
 //! Property tests for the cost models.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_cost::energy::{cumulative_cost, GenTech};

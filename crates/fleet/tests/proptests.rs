@@ -2,6 +2,8 @@
 //! fault-window-expiry scenario: a `SiteBlackout` spanning a checkpoint
 //! restore must end with the site routable again.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_fleet::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};

@@ -16,6 +16,9 @@ pub struct Suppression {
     pub line: usize,
     /// The rules the marker names, in marker order.
     pub rules: Vec<Rule>,
+    /// Ids the marker names that are not rules ins-lint checks: typos,
+    /// and rules retired to clippy lints.
+    pub unknown: Vec<String>,
 }
 
 /// Everything the analysis engine knows about one source file.
@@ -284,12 +287,17 @@ impl<'a> FileContext<'a> {
                 let at = search + rel;
                 let rest = &text[at + MARKER.len()..];
                 if let Some(end) = rest.find(')') {
-                    let rules: Vec<Rule> =
-                        rest[..end].split(',').filter_map(Rule::from_id).collect();
-                    if !rules.is_empty() {
+                    let ids = || rest[..end].split(',').map(str::trim);
+                    let rules: Vec<Rule> = ids().filter_map(Rule::from_id).collect();
+                    let unknown: Vec<String> = ids()
+                        .filter(|id| !id.is_empty() && Rule::from_id(id).is_none())
+                        .map(str::to_string)
+                        .collect();
+                    if !rules.is_empty() || !unknown.is_empty() {
                         out.push(Suppression {
                             line: self.line_of(t.start + at),
                             rules,
+                            unknown,
                         });
                     }
                     search = at + MARKER.len() + end;
@@ -371,8 +379,8 @@ mod tests {
     #[test]
     fn suppressions_parse_from_plain_comments_only() {
         let src = "\
-// ins-lint: allow(L002) -- reason\n\
-x(); // ins-lint: allow(L003, L004)\n\
+// ins-lint: allow(L004) -- reason\n\
+x(); // ins-lint: allow(L002, L007)\n\
 /// doc example: // ins-lint: allow(L001)\n\
 //! // ins-lint: allow(L005)\n";
         let ctx = FileContext::new("crates/x/src/a.rs", src);
@@ -381,11 +389,13 @@ x(); // ins-lint: allow(L003, L004)\n\
             vec![
                 Suppression {
                     line: 1,
-                    rules: vec![Rule::UnwrapInProduction],
+                    rules: vec![Rule::FloatEquality],
+                    unknown: vec![],
                 },
                 Suppression {
                     line: 2,
-                    rules: vec![Rule::Nondeterminism, Rule::FloatEquality],
+                    rules: vec![Rule::OrderingDeterminism],
+                    unknown: vec!["L002".to_string()],
                 },
             ],
             "doc-comment markers are documentation, not suppressions"
@@ -394,7 +404,7 @@ x(); // ins-lint: allow(L003, L004)\n\
 
     #[test]
     fn suppression_inside_string_literal_is_inert() {
-        let src = "let s = \"// ins-lint: allow(L002)\";\n";
+        let src = "let s = \"// ins-lint: allow(L004)\";\n";
         let ctx = FileContext::new("crates/x/src/a.rs", src);
         assert!(ctx.suppressions.is_empty());
     }

@@ -1,29 +1,20 @@
 //! The analysis engine: file collection, the token- and graph-pass
-//! pipeline, the suppression/L010 protocol, and the incremental cache
-//! integration.
+//! pipeline, and the suppression/L010 protocol.
 //!
-//! Every run follows the same shape regardless of caching:
+//! Every run has the same shape:
 //!
-//! 1. read + digest all files, lex/parse everything (parsing is cheap
-//!    and the call graph needs the whole workspace);
-//! 2. per file, run the token passes — or reuse the cached raw
-//!    findings when the content digest matches;
-//! 3. build the call graph, compute per-file closure digests, and run
-//!    the graph passes for roots in *dirty* files only — clean files
-//!    reuse their cached raw graph findings;
+//! 1. read all files, lex/parse everything (parsing is cheap and the
+//!    call graph needs the whole workspace);
+//! 2. per file, run the token passes;
+//! 3. build the call graph and run the graph passes;
 //! 4. merge raw findings per file, apply the suppression protocol
-//!    (markers that excuse nothing become L010 findings — including
-//!    markers for cached findings, since the cache stores raw,
-//!    pre-suppression results), filter to the enabled rules, sort.
-//!
-//! Because suppression and filtering always run after the cache layer,
-//! a warm run is byte-identical to a cold run by construction.
+//!    (markers that excuse nothing become L010 findings), filter to the
+//!    enabled rules, sort.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{closure_digest, fnv1a_bytes, Cache, CacheEntry};
 use crate::callgraph::CallGraph;
 use crate::context::FileContext;
 use crate::index::SymbolIndex;
@@ -38,8 +29,9 @@ use crate::{Config, Finding, Rule};
 ///    suppression accounting must see the full raw finding set);
 /// 2. a marker on line *n* suppresses matching findings on lines *n*
 ///    and *n + 1*, and is recorded as *used*;
-/// 3. every `allow(Lxxx)` entry that suppressed nothing becomes an L010
-///    finding at the marker's line — L010 itself cannot be suppressed;
+/// 3. every `allow(Lxxx)` entry that suppressed nothing, and every
+///    entry naming an unknown rule id, becomes an L010 finding at the
+///    marker's line — L010 itself cannot be suppressed;
 /// 4. findings are filtered to the enabled rules and sorted by
 ///    (line, rule id).
 fn apply_suppressions(
@@ -82,6 +74,14 @@ fn apply_suppressions(
                 ));
             }
         }
+        for id in &s.unknown {
+            findings.push(Finding::new(
+                file.path.clone(),
+                s.line,
+                Rule::StaleSuppression,
+                format!("`allow({id})` names an unknown rule id; remove the marker"),
+            ));
+        }
     }
     findings.retain(|f| config.rules.contains(&f.rule));
     findings.sort_by_key(|f| (f.line, f.rule.id()));
@@ -102,23 +102,14 @@ fn run_token_passes(file: &FileContext<'_>, index: &SymbolIndex, config: &Config
     findings
 }
 
-/// The full pipeline over in-memory sources. `cache` carries state in
-/// and out when provided; pass `None` for a from-scratch run.
+/// The full pipeline over in-memory sources.
 ///
 /// This is the engine's real entry point; [`analyze_paths`] and
 /// [`analyze_source`] are thin adapters over it. Public so harnesses
 /// (golden fixtures, fuzzers) can drive multi-file analyses without
 /// touching the filesystem.
-pub fn analyze_sources(
-    mut sources: Vec<(String, String)>,
-    config: &Config,
-    cache: Option<&mut Cache>,
-) -> Vec<Finding> {
+pub fn analyze_sources(mut sources: Vec<(String, String)>, config: &Config) -> Vec<Finding> {
     sources.sort_by(|a, b| a.0.cmp(&b.0));
-    let digests: Vec<u64> = sources
-        .iter()
-        .map(|(_, src)| fnv1a_bytes(src.as_bytes()))
-        .collect();
     let contexts: Vec<FileContext<'_>> = sources
         .iter()
         .map(|(path, src)| FileContext::new(path, src))
@@ -132,92 +123,32 @@ pub fn analyze_sources(
         index.add_parsed(p);
     }
     let inputs: Vec<(&FileContext<'_>, &ParsedFile)> = contexts.iter().zip(parsed.iter()).collect();
-    let n = inputs.len();
-    let cached_entry =
-        |path: &str| -> Option<&CacheEntry> { cache.as_ref().and_then(|c| c.files.get(path)) };
 
-    // Token passes, content-digest keyed.
-    let token_findings: Vec<Vec<Finding>> = (0..n)
-        .map(|i| {
-            if let Some(entry) = cached_entry(&contexts[i].path) {
-                if entry.digest == digests[i] {
-                    return entry.token_findings.clone();
-                }
-            }
-            run_token_passes(&contexts[i], &index, config)
-        })
-        .collect();
-
-    // Graph passes, closure-digest keyed.
-    let graph = CallGraph::build(&inputs, &index);
-    let closures = graph.file_closure(n);
-    let closure_digests: Vec<u64> = closures
+    let mut per_file: Vec<Vec<Finding>> = contexts
         .iter()
-        .map(|files| {
-            // File indices are path-sorted already, so the pair list is
-            // sorted by path as `closure_digest` requires.
-            let pairs: Vec<(&str, u64)> = files
-                .iter()
-                .map(|&f| (contexts[f].path.as_str(), digests[f]))
-                .collect();
-            closure_digest(&pairs)
-        })
+        .map(|ctx| run_token_passes(ctx, &index, config))
         .collect();
-    let dirty: Vec<bool> = (0..n)
-        .map(|i| {
-            cached_entry(&contexts[i].path).is_none_or(|entry| entry.closure != closure_digests[i])
-        })
-        .collect();
-    let mut graph_findings: Vec<Vec<Finding>> = vec![Vec::new(); n];
-    if dirty.iter().any(|&d| d) {
-        let gctx = GraphCtx {
-            graph: &graph,
-            files: &inputs,
-            config,
-            dirty: Some(&dirty),
-        };
-        let mut fresh = Vec::new();
-        for pass in graph_passes() {
-            pass.run(&gctx, &mut fresh);
-        }
-        // Graph findings are always anchored in the file that owns the
-        // root (L011/L012) or the call site (L013).
-        for f in fresh {
-            if let Ok(i) = contexts.binary_search_by(|c| c.path.as_str().cmp(&f.path)) {
-                graph_findings[i].push(f);
-            }
-        }
+    let graph = CallGraph::build(&inputs, &index);
+    let gctx = GraphCtx {
+        graph: &graph,
+        files: &inputs,
+        config,
+    };
+    let mut fresh = Vec::new();
+    for pass in graph_passes() {
+        pass.run(&gctx, &mut fresh);
     }
-    for i in 0..n {
-        if !dirty[i] {
-            if let Some(entry) = cached_entry(&contexts[i].path) {
-                graph_findings[i] = entry.graph_findings.clone();
-            }
+    // Graph findings are always anchored in the file that owns the
+    // root (L011/L012) or the call site (L013).
+    for f in fresh {
+        if let Ok(i) = contexts.binary_search_by(|c| c.path.as_str().cmp(&f.path)) {
+            per_file[i].push(f);
         }
     }
 
-    // Write the cache back: exactly the current file set.
-    if let Some(cache) = cache {
-        cache.files.clear();
-        for i in 0..n {
-            cache.files.insert(
-                contexts[i].path.clone(),
-                CacheEntry {
-                    digest: digests[i],
-                    closure: closure_digests[i],
-                    token_findings: token_findings[i].clone(),
-                    graph_findings: graph_findings[i].clone(),
-                },
-            );
-        }
-    }
-
-    // Suppression protocol and final ordering.
     let mut out = Vec::new();
-    for (i, ctx) in contexts.iter().enumerate() {
-        let mut merged = token_findings[i].clone();
-        merged.extend(graph_findings[i].iter().cloned());
-        out.extend(apply_suppressions(ctx, merged, config));
+    for (ctx, findings) in contexts.iter().zip(per_file) {
+        out.extend(apply_suppressions(ctx, findings, config));
     }
     out.sort_by(|a, b| (&a.path, a.line, a.rule.id()).cmp(&(&b.path, b.line, b.rule.id())));
     out
@@ -232,7 +163,7 @@ pub fn analyze_sources(
 /// before folding in the file itself.
 #[must_use]
 pub fn analyze_source(path: &str, src: &str, config: &Config) -> Vec<Finding> {
-    analyze_sources(vec![(path.to_string(), src.to_string())], config, None)
+    analyze_sources(vec![(path.to_string(), src.to_string())], config)
 }
 
 /// Recursively collects `.rs` files under each path (files pass through).
@@ -291,87 +222,15 @@ fn read_sources(roots: &[PathBuf]) -> io::Result<Vec<(String, String)>> {
 ///
 /// Propagates filesystem errors (unreadable file or directory).
 pub fn analyze_paths(roots: &[PathBuf], config: &Config) -> io::Result<Vec<Finding>> {
-    Ok(analyze_sources(read_sources(roots)?, config, None))
-}
-
-/// [`analyze_paths`] with the incremental cache at `cache_file`: loads
-/// it (discarding on version/config mismatch), reuses per-file results
-/// whose digests still match, and writes the updated cache back.
-/// Produces byte-identical findings to the uncached run.
-///
-/// # Errors
-///
-/// Propagates filesystem errors reading sources or writing the cache.
-/// A missing or corrupt cache file is not an error.
-pub fn analyze_paths_cached(
-    roots: &[PathBuf],
-    config: &Config,
-    cache_file: &Path,
-) -> io::Result<Vec<Finding>> {
-    let fingerprint = crate::cache::config_fingerprint(config);
-    let mut cache = Cache::load(cache_file, fingerprint);
-    let findings = analyze_sources(read_sources(roots)?, config, Some(&mut cache));
-    cache.save(cache_file)?;
-    Ok(findings)
+    Ok(analyze_sources(read_sources(roots)?, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn source_set() -> Vec<(String, String)> {
-        vec![
-            (
-                "crates/battery/src/pack.rs".to_string(),
-                "fn helper() { panic!(\"boom\"); }\npub fn entry() { helper(); }\n".to_string(),
-            ),
-            (
-                "crates/sim/src/run.rs".to_string(),
-                "use ins_battery::pack::entry;\npub fn tick() { entry(); }\n".to_string(),
-            ),
-        ]
-    }
-
     #[test]
-    fn cold_and_warm_runs_are_identical() {
-        let config = Config::default_workspace();
-        let fp = crate::cache::config_fingerprint(&config);
-        let mut cache = Cache::new(fp);
-        let cold = analyze_sources(source_set(), &config, Some(&mut cache));
-        assert!(!cache.files.is_empty(), "cache populated after a cold run");
-        let warm = analyze_sources(source_set(), &config, Some(&mut cache));
-        assert_eq!(cold, warm);
-        assert!(
-            cold.iter().any(|f| f.rule == Rule::TransitivePanic),
-            "the fixture has a real L011: {cold:?}"
-        );
-    }
-
-    #[test]
-    fn editing_a_dependency_invalidates_the_dependent_closure() {
-        let config = Config::default_workspace();
-        let fp = crate::cache::config_fingerprint(&config);
-        let mut cache = Cache::new(fp);
-        let before = analyze_sources(source_set(), &config, Some(&mut cache));
-        assert!(before
-            .iter()
-            .any(|f| { f.rule == Rule::TransitivePanic && f.path == "crates/sim/src/run.rs" }));
-        // Fix the panic in battery; sim's cached L011 must disappear
-        // even though sim's own content is unchanged.
-        let mut edited = source_set();
-        edited[0].1 = "fn helper() {}\npub fn entry() { helper(); }\n".to_string();
-        let after = analyze_sources(edited, &config, Some(&mut cache));
-        assert!(
-            !after.iter().any(|f| f.rule == Rule::TransitivePanic),
-            "stale graph finding survived a dependency edit: {after:?}"
-        );
-    }
-
-    #[test]
-    fn suppression_applies_to_cached_findings_too() {
-        let config = Config::default_workspace();
-        let fp = crate::cache::config_fingerprint(&config);
-        let mut cache = Cache::new(fp);
+    fn suppression_applies_to_graph_pass_findings() {
         let src = vec![(
             "crates/battery/src/pack.rs".to_string(),
             "fn helper() { panic!(\"boom\"); }\n\
@@ -379,16 +238,14 @@ mod tests {
              pub fn entry() { helper(); }\n"
                 .to_string(),
         )];
-        let first = analyze_sources(src.clone(), &config, Some(&mut cache));
-        let second = analyze_sources(src, &config, Some(&mut cache));
-        assert_eq!(first, second);
+        let findings = analyze_sources(src, &Config::default_workspace());
         assert!(
-            !second.iter().any(|f| f.rule == Rule::TransitivePanic),
-            "suppression must hold on warm runs: {second:?}"
+            !findings.iter().any(|f| f.rule == Rule::TransitivePanic),
+            "the marker must suppress the L011 finding: {findings:?}"
         );
         assert!(
-            !second.iter().any(|f| f.rule == Rule::StaleSuppression),
-            "the marker is used, not stale: {second:?}"
+            !findings.iter().any(|f| f.rule == Rule::StaleSuppression),
+            "the marker is used, not stale: {findings:?}"
         );
     }
 }

@@ -20,18 +20,21 @@
 //! | Rule | Checks |
 //! |------|--------|
 //! | L001 | raw `f64` parameters named like physical quantities in `pub fn` signatures of physics crates — use the `ins-units` newtypes |
-//! | L002 | `.unwrap()` / `.expect(` outside test code — propagate typed errors instead |
-//! | L003 | nondeterminism (`SystemTime`, `Instant::now`, `thread_rng`) — simulations must be reproducible from a seed |
 //! | L004 | direct `==` / `!=` against float literals — compare with a tolerance |
 //! | L005 | unreferenced task markers (todo/fixme with no `#123` issue link) |
-//! | L006 | parallel safety: threads, `static mut`, shared-mutable primitives and side-channel accumulation outside `ins_sim::pool` |
-//! | L007 | ordering determinism: NaN-masking `partial_cmp(..).unwrap*()` comparators, unordered-collection iteration feeding serialized output |
+//! | L007 | ordering determinism: NaN-masking `partial_cmp(..).unwrap*()` comparators |
 //! | L008 | unit flow: raw `.value()` extractions crossing dimension boundaries, truncating casts off typed quantities |
 //! | L009 | panic surface in production physics/fleet code: panicking macros, arithmetic indexing, narrowing casts |
-//! | L010 | stale suppressions: `ins-lint: allow(...)` markers that no longer suppress anything |
+//! | L010 | stale suppressions: `ins-lint: allow(...)` markers that no longer suppress anything, or that name an unknown rule id |
 //! | L011 | transitive panic reachability: a panic-surface `pub fn` (or any fn in a critical file) from which a panicking token is reachable through non-test calls — the finding carries the full call path |
 //! | L012 | determinism taint: serialization/telemetry roots transitively reaching nondeterminism sources or unordered-collection iteration |
 //! | L013 | interprocedural unit flow: a raw `f64` returned by one fn feeding a quantity-named parameter in another crate |
+//!
+//! L002 (`unwrap`/`expect`), L003 (wall clock, OS randomness), L006
+//! (threads and shared-mutable state) and the `HashMap`/`HashSet` half
+//! of L007 are retired: the workspace clippy lints configured in the
+//! root `Cargo.toml` and `clippy.toml` check them (DESIGN.md §8.2 maps
+//! each rule to its replacement).
 //!
 //! A finding on any line can be suppressed with an inline comment on the
 //! same line or the line directly above:
@@ -42,30 +45,23 @@
 //!
 //! Markers in doc comments are documentation, never suppressions, and a
 //! marker that stops matching any finding becomes an L010 error itself —
-//! suppressions cannot rot silently. L010 cannot be suppressed. Baseline
-//! entries ([`baseline`]) follow the same contract: an entry that no
-//! longer matches any finding is reported stale instead of being
-//! silently ignored.
+//! suppressions cannot rot silently. So does a marker naming an id that
+//! is not a rule here, such as a typo or a retired rule: excuse a site
+//! of a retired rule with `#[expect(clippy::…, reason = "…")]`, which
+//! rustc reports once it stops being needed. L010 cannot be suppressed.
 //!
 //! Test code (a `#[cfg(test)]` / `#[test]` region, a `mod tests` block
 //! even without the attribute, or any file under a `tests/` directory)
-//! is exempt from the production-only rules (L002, L004, L007, L008,
-//! L009): tests intentionally unwrap and compare exactly-constructed
-//! values. Call-graph edges into test code are likewise never followed
-//! by the interprocedural passes.
+//! is exempt from the production-only rules (L004, L007, L008, L009):
+//! tests compare exactly-constructed values and may panic on purpose.
+//! Call-graph edges into test code are likewise never followed by the
+//! interprocedural passes.
 //!
 //! The crate doubles as a library so rules can be unit-tested against
 //! fixture snippets, and as a binary (`cargo run -p ins-lint -- <paths>`)
 //! that exits non-zero when unsuppressed findings remain. Reports come
-//! in plain text, JSON ([`report_json`]) and SARIF 2.1.0
-//! ([`sarif::report_sarif`], with call paths as `codeFlows`) for CI
-//! annotations; [`baseline`] supports incremental adoption and
-//! [`cache`] makes warm re-runs incremental (per-file findings keyed by
-//! content digest, graph passes re-run only on the dirty transitive
-//! closure).
+//! in plain text or JSON ([`report_json`]).
 
-pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod context;
 pub mod engine;
@@ -74,14 +70,10 @@ pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 
 use std::fmt;
 
-pub use engine::{
-    analyze_paths, analyze_paths_cached, analyze_source, analyze_sources, collect_rust_files,
-};
-pub(crate) use report::escape_json;
+pub use engine::{analyze_paths, analyze_source, analyze_sources, collect_rust_files};
 pub use report::report_json;
 
 /// The rule catalog.
@@ -89,17 +81,11 @@ pub use report::report_json;
 pub enum Rule {
     /// Raw `f64` physical-quantity parameter in a public signature.
     UntypedQuantity,
-    /// `unwrap`/`expect` outside test code.
-    UnwrapInProduction,
-    /// Wall-clock or OS randomness in simulation code.
-    Nondeterminism,
     /// Exact float comparison.
     FloatEquality,
     /// Unreferenced task marker.
     UntrackedTodo,
-    /// Threads or shared-mutable state outside the worker pool.
-    ParallelSafety,
-    /// NaN-unsafe comparators or unordered collections feeding output.
+    /// NaN-unsafe comparators.
     OrderingDeterminism,
     /// Raw values crossing unit-dimension boundaries.
     UnitFlow,
@@ -118,26 +104,12 @@ pub enum Rule {
     CrossUnitFlow,
 }
 
-/// How severe a rule violation is, for report levels (every unsuppressed
-/// finding still fails the build; severity only affects how CI renders
-/// the annotation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Violates a hard workspace invariant.
-    Error,
-    /// Hygiene or defense-in-depth; justified exceptions are common.
-    Warning,
-}
-
 impl Rule {
     /// All rules, in id order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 10] = [
         Rule::UntypedQuantity,
-        Rule::UnwrapInProduction,
-        Rule::Nondeterminism,
         Rule::FloatEquality,
         Rule::UntrackedTodo,
-        Rule::ParallelSafety,
         Rule::OrderingDeterminism,
         Rule::UnitFlow,
         Rule::PanicSurface,
@@ -152,11 +124,8 @@ impl Rule {
     pub const fn id(self) -> &'static str {
         match self {
             Rule::UntypedQuantity => "L001",
-            Rule::UnwrapInProduction => "L002",
-            Rule::Nondeterminism => "L003",
             Rule::FloatEquality => "L004",
             Rule::UntrackedTodo => "L005",
-            Rule::ParallelSafety => "L006",
             Rule::OrderingDeterminism => "L007",
             Rule::UnitFlow => "L008",
             Rule::PanicSurface => "L009",
@@ -182,23 +151,12 @@ impl Rule {
             Rule::UntypedQuantity => {
                 "raw f64 parameter named like a physical quantity; use an ins-units newtype"
             }
-            Rule::UnwrapInProduction => {
-                "unwrap/expect outside test code; propagate a typed error instead"
-            }
-            Rule::Nondeterminism => {
-                "wall-clock or OS randomness; derive all variation from the run seed"
-            }
             Rule::FloatEquality => {
                 "exact float comparison against a literal; compare with a tolerance"
             }
             Rule::UntrackedTodo => "task marker without an issue reference (expected `#<digits>`)",
-            Rule::ParallelSafety => {
-                "threads or shared-mutable state outside ins_sim::pool; route parallelism \
-                 through the pool so results stay in input order"
-            }
             Rule::OrderingDeterminism => {
-                "NaN-unsafe comparator or unordered collection; use total_cmp / \
-                 ins_units::total_order and ordered containers"
+                "NaN-unsafe comparator; use total_cmp / ins_units::total_order"
             }
             Rule::UnitFlow => {
                 "raw value crossing a unit-dimension boundary; use the typed cross-unit \
@@ -221,15 +179,6 @@ impl Rule {
                 "raw f64 return value crosses a crate boundary into a quantity-named \
                  parameter; thread an ins-units newtype through instead"
             }
-        }
-    }
-
-    /// Report severity (SARIF level).
-    #[must_use]
-    pub const fn severity(self) -> Severity {
-        match self {
-            Rule::UntrackedTodo | Rule::PanicSurface | Rule::TransitivePanic => Severity::Warning,
-            _ => Severity::Error,
         }
     }
 }
@@ -313,9 +262,6 @@ pub struct Config {
     /// physics plus the fleet and service layers, whose loops must
     /// degrade, not abort.
     pub panic_surface_dirs: Vec<String>,
-    /// Path suffixes of the sanctioned thread/atomics owners, exempt
-    /// from L006.
-    pub pool_files: Vec<String>,
     /// Path suffixes of *critical* files: every fn defined there (pub or
     /// not) is an L011 root — these paths must be statically panic-free.
     /// The service supervisor, safe-mode policy and the sweep prefix
@@ -352,12 +298,6 @@ impl Config {
             rules: Rule::ALL.to_vec(),
             physics_dirs,
             panic_surface_dirs,
-            pool_files: vec![
-                "crates/sim/src/pool.rs".to_string(),
-                // The daemon is the sanctioned owner of the service's
-                // only threads: the crash-isolated engine worker.
-                "crates/service/src/daemon.rs".to_string(),
-            ],
             critical_files: vec![
                 "crates/service/src/supervisor.rs".to_string(),
                 "crates/service/src/safe_mode.rs".to_string(),
@@ -390,7 +330,8 @@ mod tests {
         for rule in Rule::ALL {
             assert_eq!(Rule::from_id(rule.id()), Some(rule));
         }
-        assert_eq!(Rule::from_id("l003"), Some(Rule::Nondeterminism));
+        assert_eq!(Rule::from_id("l004"), Some(Rule::FloatEquality));
+        assert_eq!(Rule::from_id("L002"), None, "retired rules have no variant");
         assert_eq!(Rule::from_id("L013"), Some(Rule::CrossUnitFlow));
         assert_eq!(Rule::from_id("L999"), None);
     }

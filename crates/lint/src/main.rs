@@ -1,58 +1,42 @@
 //! CLI for the InSURE repository linter.
 //!
 //! ```text
-//! cargo run -p ins-lint -- [--json|--sarif] [--rules L001,L004]
-//!     [--baseline FILE] [--write-baseline FILE]
-//!     [--cache FILE | --no-cache] [--explain Lxxx] <path>...
+//! cargo run -p ins-lint -- [--json] [--rules L001,L004] [--explain Lxxx] <path>...
 //! ```
 //!
 //! Exit codes: `0` clean, `1` unsuppressed findings, `2` usage or I/O
 //! error.
 
-use std::collections::BTreeMap;
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ins_lint::{
-    analyze_paths, analyze_paths_cached, baseline, report_json, sarif, Config, Finding, Rule,
-    TraceHop,
-};
+use ins_lint::{analyze_paths, report_json, Config, Finding, Rule, TraceHop};
 
 fn usage() -> &'static str {
-    "usage: ins-lint [--json|--sarif] [--rules L001,L002,...]\n\
-     \x20               [--baseline FILE] [--write-baseline FILE]\n\
-     \x20               [--cache FILE | --no-cache] [--explain Lxxx] <path>...\n\
+    "usage: ins-lint [--json] [--rules L001,L004,...] [--explain Lxxx] <path>...\n\
      \n\
      Scans .rs files under each path for InSURE convention violations.\n\
      Rules:\n\
        L001  untyped physical-quantity parameter in a public signature\n\
-       L002  unwrap/expect outside test code\n\
-       L003  nondeterminism (wall clock, OS randomness)\n\
        L004  exact float comparison against a literal\n\
        L005  task marker without an issue reference\n\
-       L006  threads or shared-mutable state outside ins_sim::pool\n\
-       L007  NaN-unsafe comparator / unordered collection ordering\n\
+       L007  NaN-unsafe partial_cmp comparator\n\
        L008  raw value crossing a unit-dimension boundary\n\
        L009  panic surface in production physics/fleet code\n\
-       L010  stale suppression marker or baseline entry (unsuppressable)\n\
+       L010  stale suppression marker (unsuppressable)\n\
        L011  public entry point transitively reaches a panic\n\
        L012  serialization root tainted by nondeterministic iteration\n\
        L013  raw f64 crossing a crate boundary into a quantity slot\n\
+     Unwraps, wall-clock reads, threads and HashMap/HashSet are workspace\n\
+     clippy lints (see clippy.toml).\n\
      Suppress inline with `// ins-lint: allow(L00x) -- reason` on or\n\
-     above the line. `--explain Lxxx` prints a rule's full semantics.\n\
-     --baseline subtracts findings listed in FILE (see lint-baseline.txt);\n\
-     stale entries are reported as L010. --write-baseline regenerates\n\
-     FILE from the current findings.\n\
-     The incremental cache defaults to target/ins-lint-cache.tsv; use\n\
-     --cache to relocate it or --no-cache for a from-scratch run."
+     above the line. `--explain Lxxx` prints a rule's full semantics."
 }
 
 /// Prints the long-form explanation for one rule, including a rendered
 /// call-path example for the interprocedural passes.
 fn explain(rule: Rule) {
     println!("{}  {}", rule.id(), rule.description());
-    println!("severity: {:?}", rule.severity());
     match rule {
         Rule::TransitivePanic => {
             println!(
@@ -121,58 +105,14 @@ fn explain(rule: Rule) {
     }
 }
 
-/// Source lines of each finding's file, read once per file so baseline
-/// fingerprints see the offending line text.
-struct LineCache {
-    files: BTreeMap<String, Vec<String>>,
-}
-
-impl LineCache {
-    fn new() -> Self {
-        Self {
-            files: BTreeMap::new(),
-        }
-    }
-
-    fn line_text(&mut self, path: &str, line: usize) -> String {
-        let lines = self.files.entry(path.to_string()).or_insert_with(|| {
-            fs::read_to_string(path)
-                .map(|src| src.lines().map(str::to_string).collect())
-                .unwrap_or_default()
-        });
-        lines
-            .get(line.saturating_sub(1))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    fn fingerprint(&mut self, f: &Finding) -> String {
-        let text = self.line_text(&f.path, f.line);
-        baseline::fingerprint(f, &text)
-    }
-}
-
 fn main() -> ExitCode {
     let mut json = false;
-    let mut sarif_out = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut cache_file: Option<PathBuf> = Some(PathBuf::from("target/ins-lint-cache.tsv"));
     let mut roots: Vec<PathBuf> = Vec::new();
     let mut config = Config::default_workspace();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--sarif" => sarif_out = true,
-            "--no-cache" => cache_file = None,
-            "--cache" => {
-                let Some(file) = args.next() else {
-                    eprintln!("--cache needs a file path\n\n{}", usage());
-                    return ExitCode::from(2);
-                };
-                cache_file = Some(PathBuf::from(file));
-            }
             "--explain" => {
                 let Some(id) = args.next() else {
                     eprintln!("--explain needs a rule id\n\n{}", usage());
@@ -197,20 +137,13 @@ fn main() -> ExitCode {
                 }
                 config.rules = rules;
             }
-            "--baseline" | "--write-baseline" => {
-                let Some(file) = args.next() else {
-                    eprintln!("{arg} needs a file path\n\n{}", usage());
-                    return ExitCode::from(2);
-                };
-                if arg == "--baseline" {
-                    baseline_path = Some(PathBuf::from(file));
-                } else {
-                    write_baseline = Some(PathBuf::from(file));
-                }
-            }
             "--help" | "-h" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
+            }
+            _ if arg.starts_with('-') => {
+                eprintln!("unknown option {arg:?}\n\n{}", usage());
+                return ExitCode::from(2);
             }
             _ => roots.push(PathBuf::from(arg)),
         }
@@ -219,17 +152,7 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::from(2);
     }
-    let analyzed = match &cache_file {
-        Some(path) => {
-            if let Some(dir) = path.parent() {
-                // Best-effort: a missing target/ dir must not fail the run.
-                let _ = fs::create_dir_all(dir);
-            }
-            analyze_paths_cached(&roots, &config, path)
-        }
-        None => analyze_paths(&roots, &config),
-    };
-    let mut findings = match analyzed {
+    let findings = match analyze_paths(&roots, &config) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("ins-lint: {e}");
@@ -237,57 +160,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut cache = LineCache::new();
-    if let Some(path) = write_baseline {
-        let fps: Vec<String> = findings.iter().map(|f| cache.fingerprint(f)).collect();
-        if let Err(e) = fs::write(&path, baseline::render(&fps)) {
-            eprintln!("ins-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "ins-lint: wrote {} fingerprint(s) to {}",
-            fps.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let mut baselined = 0usize;
-    if let Some(path) = baseline_path {
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("ins-lint: reading {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let mut allow = baseline::Baseline::parse(&text);
-        findings.retain(|f| {
-            let excused = allow.take(&cache.fingerprint(f));
-            baselined += usize::from(excused);
-            !excused
-        });
-        // Entries that excused nothing have rotted: the finding they
-        // pardoned is gone. Report them as L010 anchored at the
-        // baseline file so the allowance gets pruned, mirroring the
-        // inline stale-marker protocol.
-        if config.rules.contains(&Rule::StaleSuppression) {
-            for (fp, count) in allow.leftover() {
-                findings.push(Finding::new(
-                    path.display().to_string(),
-                    1,
-                    Rule::StaleSuppression,
-                    format!(
-                        "baseline entry `{fp}` (x{count}) no longer matches any \
-                         finding; regenerate with --write-baseline"
-                    ),
-                ));
-            }
-        }
-    }
-
-    if sarif_out {
-        println!("{}", sarif::report_sarif(&findings));
-    } else if json {
+    if json {
         println!("{}", report_json(&findings));
     } else {
         for f in &findings {
@@ -298,9 +171,6 @@ fn main() -> ExitCode {
         } else {
             eprintln!("ins-lint: {} finding(s)", findings.len());
         }
-    }
-    if baselined > 0 {
-        eprintln!("ins-lint: {baselined} baselined finding(s) suppressed");
     }
     if findings.is_empty() {
         ExitCode::SUCCESS

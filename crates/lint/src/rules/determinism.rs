@@ -1,33 +1,10 @@
-//! Determinism passes: L003 (wall clock / OS randomness), L004 (exact
-//! float comparison) and L007 (ordering determinism: NaN-unsafe
-//! comparators and unordered collections feeding serialized output).
+//! Determinism passes: L004 (exact float comparison) and L007 (NaN-unsafe
+//! comparators). Wall-clock reads and unordered collections are
+//! `clippy::disallowed_methods` / `clippy::disallowed_types`.
 
 use crate::lexer::TokenKind;
 use crate::rules::{find_matching, RuleCtx};
 use crate::{Finding, Rule};
-
-/// L003: nondeterministic sources anywhere in simulation code (tests
-/// included — a nondeterministic test cannot pin a deterministic
-/// contract).
-pub fn check_nondeterminism(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-    let f = ctx.file;
-    for i in 0..f.sig.len() {
-        let text = f.sig_text(i);
-        let hit = match text {
-            "SystemTime" | "thread_rng" => Some(text.to_string()),
-            "Instant" if f.matches_seq(i + 1, &["::", "now"]) => Some("Instant::now".to_string()),
-            _ => None,
-        };
-        if let (Some(token), Some(tok)) = (hit, f.sig_token(i)) {
-            ctx.push(
-                out,
-                Rule::Nondeterminism,
-                tok.start,
-                format!("`{token}` — {}", Rule::Nondeterminism.description()),
-            );
-        }
-    }
-}
 
 /// L004: `==` / `!=` against a float literal on non-test lines.
 pub fn check_float_eq(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
@@ -68,19 +45,14 @@ pub fn check_float_eq(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
 }
 
 const NAN_MASKING: [&str; 4] = ["unwrap", "expect", "unwrap_or", "unwrap_or_else"];
-const UNORDERED: [&str; 2] = ["HashMap", "HashSet"];
 
 /// L007: ordering determinism in production code.
-///
-/// * `partial_cmp(..).unwrap()` / `.unwrap_or(..)` comparators either
-///   panic on NaN or silently map it to an arbitrary rank, making sort
-///   order input-dependent in exactly the cases that corrupt serialized
-///   output — use `total_cmp` or `ins_units::total_order`.
-/// * `HashMap` / `HashSet` iteration order is unspecified; anything
-///   that flows into JSON/CSV must come from `Vec` or `BTreeMap`.
+/// `partial_cmp(..).unwrap()` / `.unwrap_or(..)` comparators either
+/// panic on NaN or silently map it to an arbitrary rank, making sort
+/// order input-dependent in exactly the cases that corrupt serialized
+/// output — use `total_cmp` or `ins_units::total_order`.
 pub fn check_ordering(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
     let f = ctx.file;
-    let mut last_unordered_line = 0usize;
     for i in 0..f.sig.len() {
         let Some(tok) = f.sig_token(i).copied() else {
             continue;
@@ -106,31 +78,6 @@ pub fn check_ordering(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                 }
             }
         }
-        if UNORDERED.contains(&text) && line != last_unordered_line {
-            ctx.push(
-                out,
-                Rule::OrderingDeterminism,
-                tok.start,
-                format!(
-                    "`{text}` iteration order is unspecified and leaks into anything \
-                     serialized from it; use `Vec` or `BTreeMap`/`BTreeSet`"
-                ),
-            );
-            last_unordered_line = line;
-        }
-    }
-}
-
-/// L003 as a [`crate::rules::Pass`].
-pub struct Nondeterminism;
-
-impl crate::rules::Pass for Nondeterminism {
-    fn rule(&self) -> Rule {
-        Rule::Nondeterminism
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_nondeterminism(ctx, out);
     }
 }
 

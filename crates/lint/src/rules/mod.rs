@@ -11,7 +11,6 @@ pub mod determinism;
 pub mod graph;
 pub mod hygiene;
 pub mod panics;
-pub mod parallel;
 pub mod units;
 
 use crate::context::FileContext;
@@ -44,11 +43,8 @@ pub trait Pass {
 pub fn passes() -> &'static [&'static dyn Pass] {
     const PASSES: &[&dyn Pass] = &[
         &units::UntypedQuantity,
-        &panics::UnwrapInProduction,
-        &determinism::Nondeterminism,
         &determinism::FloatEquality,
         &hygiene::UntrackedTodo,
-        &parallel::ParallelSafety,
         &determinism::OrderingDeterminism,
         &units::UnitFlow,
         &panics::PanicSurface,
@@ -73,17 +69,6 @@ impl RuleCtx<'_> {
             .panic_surface_dirs
             .iter()
             .any(|d| self.file.path.contains(d.as_str()))
-    }
-
-    /// Whether this file is the worker-pool implementation, exempt from
-    /// the parallel-safety rule (it is the one sanctioned owner of
-    /// threads and atomics).
-    #[must_use]
-    pub fn is_pool_file(&self) -> bool {
-        self.config
-            .pool_files
-            .iter()
-            .any(|f| self.file.path.ends_with(f.as_str()))
     }
 
     /// Emits a finding anchored at byte `offset`.

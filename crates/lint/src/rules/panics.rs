@@ -1,38 +1,8 @@
-//! Panic-related passes: L002 (`unwrap`/`expect` in production) and
-//! L009 (panic surface in physics/fleet code).
+//! L009: panic surface in physics/fleet code. `unwrap`/`expect` in
+//! production code is `clippy::unwrap_used` / `clippy::expect_used`.
 
 use crate::rules::{find_matching, is_keyword, RuleCtx};
 use crate::{Finding, Rule};
-
-/// L002: `.unwrap()` / `.expect(` outside test code.
-pub fn check_unwrap(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-    let f = ctx.file;
-    for i in 0..f.sig.len() {
-        if f.sig_text(i) != "." {
-            continue;
-        }
-        let (token, ok) = match f.sig_text(i + 1) {
-            "unwrap" if f.matches_seq(i + 2, &["(", ")"]) => (".unwrap()", true),
-            "expect" if f.sig_text(i + 2) == "(" => (".expect(", true),
-            _ => ("", false),
-        };
-        if !ok {
-            continue;
-        }
-        let Some(tok) = f.sig_token(i + 1) else {
-            continue;
-        };
-        if f.is_test_line(f.line_of(tok.start)) {
-            continue;
-        }
-        ctx.push(
-            out,
-            Rule::UnwrapInProduction,
-            tok.start,
-            format!("`{token}` — {}", Rule::UnwrapInProduction.description()),
-        );
-    }
-}
 
 const NARROW_INT: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 
@@ -105,19 +75,6 @@ pub fn check_panic_surface(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                 ),
             );
         }
-    }
-}
-
-/// L002 as a [`crate::rules::Pass`].
-pub struct UnwrapInProduction;
-
-impl crate::rules::Pass for UnwrapInProduction {
-    fn rule(&self) -> Rule {
-        Rule::UnwrapInProduction
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_unwrap(ctx, out);
     }
 }
 

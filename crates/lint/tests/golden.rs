@@ -30,6 +30,8 @@
 //! UPDATE_GOLDEN=1 cargo test -p ins-lint --test golden
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -113,7 +115,7 @@ fn fixtures_match_expected_findings() {
         let files = split_fixture(virtual_path, &src);
         let multi = files.len() > 1;
         let findings = if multi {
-            analyze_sources(files, &config, None)
+            analyze_sources(files, &config)
         } else {
             analyze_source(virtual_path, &src, &config)
         };

@@ -16,6 +16,8 @@
 //! built from integer draws: either indices into an alphabet of nasty
 //! Rust constructs, or raw bytes run through lossy UTF-8 conversion.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_lint::lexer::lex;
 use proptest::prelude::*;
 

@@ -4,6 +4,8 @@
 //! they moved here unchanged when the rules split into `rules/`
 //! submodules, so the split is provably behavior-preserving.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_lint::{analyze_source, report_json, Config, Finding, Rule};
 
 fn run(path: &str, src: &str) -> Vec<Finding> {
@@ -12,30 +14,6 @@ fn run(path: &str, src: &str) -> Vec<Finding> {
 
 fn rules_of(findings: &[Finding]) -> Vec<Rule> {
     findings.iter().map(|f| f.rule).collect()
-}
-
-#[test]
-fn worker_pool_is_free_of_nondeterminism() {
-    // The parallel sweep layer's whole contract is bit-identical
-    // output at any thread count, so its internals must never touch
-    // the banned wall-clock / OS-randomness APIs (L003). Analyze the
-    // actual source shipped in `ins-sim`.
-    let src = include_str!("../../sim/src/pool.rs");
-    let findings = run("crates/sim/src/pool.rs", src);
-    let nondet: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::Nondeterminism)
-        .collect();
-    assert!(
-        nondet.is_empty(),
-        "pool.rs must stay deterministic, found: {nondet:?}"
-    );
-    // The pool is the one sanctioned owner of threads and atomics.
-    let parallel: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::ParallelSafety)
-        .collect();
-    assert!(parallel.is_empty(), "pool.rs is L006-exempt: {parallel:?}");
 }
 
 #[test]
@@ -71,76 +49,6 @@ fn l001_ignores_typed_params_private_fns_and_other_crates() {
     assert!(run("crates/workload/src/x.rs", "pub fn f(power: f64) {}\n").is_empty());
     // Non-quantity name: fine.
     assert!(run("crates/battery/src/x.rs", "pub fn f(fraction: f64) {}\n").is_empty());
-}
-
-#[test]
-fn l002_fires_outside_tests_only() {
-    let src = "fn f() { x.unwrap(); }\n\
-               #[cfg(test)]\n\
-               mod tests {\n\
-                   fn g() { y.unwrap(); z.expect(\"boom\"); }\n\
-               }\n";
-    let findings = run("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&findings), vec![Rule::UnwrapInProduction]);
-    assert_eq!(findings[0].line, 1);
-}
-
-#[test]
-fn l002_exempts_bare_mod_tests_without_attribute() {
-    // The classic line-scanner blind spot: a test module that forgot
-    // the `#[cfg(test)]` attribute is still test code.
-    let src = "fn f() { x.unwrap(); }\n\
-               mod tests {\n\
-                   fn g() { y.unwrap(); }\n\
-               }\n";
-    let findings = run("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&findings), vec![Rule::UnwrapInProduction]);
-    assert_eq!(findings[0].line, 1);
-}
-
-#[test]
-fn l002_exempts_tests_directories() {
-    let src = "fn f() { x.unwrap(); }\n";
-    assert!(run("tests/full_day.rs", src).is_empty());
-    assert!(run("crates/core/tests/chaos.rs", src).is_empty());
-}
-
-#[test]
-fn l002_ignores_unwrap_or_variants() {
-    let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); }\n";
-    assert!(run("crates/core/src/x.rs", src).is_empty());
-}
-
-#[test]
-fn l003_fires_on_nondeterminism_tokens() {
-    let src = "use std::time::SystemTime;\n\
-               fn f() { let t = Instant::now(); let r = rand::thread_rng(); }\n";
-    let findings = run("crates/sim/src/x.rs", src);
-    assert_eq!(
-        rules_of(&findings),
-        vec![
-            Rule::Nondeterminism,
-            Rule::Nondeterminism,
-            Rule::Nondeterminism
-        ]
-    );
-}
-
-#[test]
-fn l003_ignores_tokens_inside_strings_and_comments() {
-    let src = "fn f() { let s = \"Instant::now\"; }\n\
-               // the phrase SystemTime in prose is fine\n";
-    assert!(run("crates/sim/src/x.rs", src).is_empty());
-}
-
-#[test]
-fn l003_ignores_tokens_inside_multiline_block_comments() {
-    // A rule firing inside a block comment was a latent false-
-    // positive class of the line scanner: the comment interior
-    // carried no comment marker on its own line.
-    let src = "/*\n  SystemTime and Instant::now discussed here,\n  \
-               plus x.unwrap() examples.\n*/\nfn f() {}\n";
-    assert!(run("crates/sim/src/x.rs", src).is_empty());
 }
 
 #[test]
@@ -183,56 +91,13 @@ fn l005_fires_on_unreferenced_markers_only() {
 }
 
 #[test]
-fn l006_fires_on_threads_and_shared_state_outside_pool() {
-    let src = "fn f() { std::thread::spawn(|| {}); }\n";
-    let findings = run("crates/fleet/src/x.rs", src);
-    assert_eq!(rules_of(&findings), vec![Rule::ParallelSafety]);
-    assert!(findings[0].message.contains("thread::spawn"));
-
-    let src = "static mut COUNTER: u64 = 0;\n";
-    assert_eq!(
-        rules_of(&run("crates/core/src/x.rs", src)),
-        vec![Rule::ParallelSafety]
-    );
-
-    let src = "use std::sync::Mutex;\n";
-    assert_eq!(
-        rules_of(&run("crates/core/src/x.rs", src)),
-        vec![Rule::ParallelSafety]
-    );
-}
-
-#[test]
-fn l006_flags_side_channel_accumulation_in_pool_closures() {
-    let src = "fn f() { let total = AtomicU64::new(0);\n\
-               pool.scoped_map(cells, |c| { total.fetch_add(c.run(), Relaxed); });\n}\n";
-    let findings = run("crates/core/src/x.rs", src);
-    // `AtomicU64` itself plus the `.fetch_add(` side channel.
-    assert!(findings.iter().any(|f| f.message.contains("fetch_add")));
-    assert!(rules_of(&findings)
-        .iter()
-        .all(|r| *r == Rule::ParallelSafety));
-}
-
-#[test]
-fn l006_exempts_the_pool_file() {
-    let src = "fn f() { std::thread::scope(|s| {}); }\n";
-    assert!(run("crates/sim/src/pool.rs", src).is_empty());
-}
-
-#[test]
 fn l007_fires_on_nan_masking_comparators() {
     let src = "fn f(v: &mut Vec<f64>) {\n\
                v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
     let findings = run("crates/core/src/x.rs", src);
-    // The `.unwrap()` also trips L002 — both diagnoses are real.
-    assert_eq!(
-        rules_of(&findings),
-        vec![Rule::UnwrapInProduction, Rule::OrderingDeterminism]
-    );
-    let l007 = &findings[1];
-    assert_eq!(l007.line, 2);
-    assert!(l007.message.contains("total_cmp"));
+    assert_eq!(rules_of(&findings), vec![Rule::OrderingDeterminism]);
+    assert_eq!(findings[0].line, 2);
+    assert!(findings[0].message.contains("total_cmp"));
 
     // Masking with a default is as bad as panicking: NaN sorts
     // arbitrarily.
@@ -245,11 +110,13 @@ fn l007_fires_on_nan_masking_comparators() {
 }
 
 #[test]
-fn l007_fires_on_unordered_collections() {
-    let src = "use std::collections::HashMap;\n";
-    let findings = run("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&findings), vec![Rule::OrderingDeterminism]);
-    assert!(findings[0].message.contains("BTreeMap"));
+fn retired_rules_no_longer_fire() {
+    // Unwraps, wall-clock reads, threads and unordered collections are
+    // workspace clippy lints now; ins-lint leaves them alone.
+    let src = "use std::collections::HashMap;\n\
+               fn f() { x.unwrap(); let t = Instant::now(); std::thread::spawn(|| {}); }\n\
+               static mut COUNTER: u64 = 0;\n";
+    assert!(run("crates/core/src/x.rs", src).is_empty());
 }
 
 #[test]
@@ -357,6 +224,29 @@ fn l010_cannot_be_suppressed() {
 }
 
 #[test]
+fn l010_flags_markers_naming_unknown_rule_ids() {
+    // A retired rule is no longer a rule here.
+    let src = "fn f() {\n    // ins-lint: allow(L002) -- invariant\n    x.unwrap();\n}\n";
+    let findings = run("crates/core/src/x.rs", src);
+    assert_eq!(rules_of(&findings), vec![Rule::StaleSuppression]);
+    assert_eq!(findings[0].line, 2);
+    assert!(findings[0]
+        .message
+        .contains("`allow(L002)` names an unknown rule id"));
+    // Nor is a typo.
+    let src = "fn f(x: f64) -> bool { x == 0.0 } // ins-lint: allow(LOO4)\n";
+    assert_eq!(
+        rules_of(&run("crates/core/src/x.rs", src)),
+        vec![Rule::FloatEquality, Rule::StaleSuppression]
+    );
+    // An unknown id beside a live one: the live entry still suppresses.
+    let src = "fn f(x: f64) -> bool { x == 0.0 } // ins-lint: allow(L004, L006)\n";
+    let findings = run("crates/core/src/x.rs", src);
+    assert_eq!(rules_of(&findings), vec![Rule::StaleSuppression]);
+    assert!(findings[0].message.contains("L006"));
+}
+
+#[test]
 fn doc_comment_markers_are_not_suppressions() {
     // A doc-comment example of the marker syntax neither suppresses
     // nor counts as stale.
@@ -377,13 +267,14 @@ fn suppression_covers_same_line_and_next_line() {
     let above = "// ins-lint: allow(L004) -- sentinel compare\nfn f(x: f64) -> bool { x == 0.0 }\n";
     assert!(run("crates/core/src/x.rs", above).is_empty());
     // The wrong rule id does not suppress — and is itself stale.
-    let wrong = "fn f(x: f64) -> bool { x == 0.0 } // ins-lint: allow(L002)\n";
+    let wrong = "fn f(x: f64) -> bool { x == 0.0 } // ins-lint: allow(L007)\n";
     assert_eq!(
         rules_of(&run("crates/core/src/x.rs", wrong)),
         vec![Rule::FloatEquality, Rule::StaleSuppression]
     );
     // Comma lists suppress several rules at once.
-    let multi = "fn f(x: f64) -> bool { x.unwrap(); x == 0.0 } // ins-lint: allow(L002, L004)\n";
+    let multi = "fn f(x: f64) -> bool { x.partial_cmp(&x).unwrap(); x == 0.0 } \
+                 // ins-lint: allow(L004, L007)\n";
     assert!(run("crates/core/src/x.rs", multi).is_empty());
 }
 
@@ -391,12 +282,12 @@ fn suppression_covers_same_line_and_next_line() {
 fn disabled_rules_are_filtered_but_still_feed_l010() {
     let mut config = Config::default_workspace();
     config.rules = vec![Rule::FloatEquality, Rule::StaleSuppression];
-    // The L002 suppression is *used* (an unwrap sits on the line),
-    // so no L010 fires even though L002 itself is disabled.
-    let src = "fn f(x: f64) { x.unwrap(); } // ins-lint: allow(L002)\n";
+    // The L007 suppression is *used* (a NaN-masking comparator sits on
+    // the line), so no L010 fires even though L007 itself is disabled.
+    let src = "fn f(x: f64) { x.partial_cmp(&x).unwrap(); } // ins-lint: allow(L007)\n";
     assert!(analyze_source("crates/core/src/x.rs", src, &config).is_empty());
     // And disabled rules' findings never surface.
-    let src = "fn f(x: f64) { x.unwrap(); }\n";
+    let src = "fn f(x: f64) { x.partial_cmp(&x).unwrap(); }\n";
     assert!(analyze_source("crates/core/src/x.rs", src, &config).is_empty());
 }
 

@@ -1,5 +1,7 @@
 //! Property tests for the power delivery network.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};

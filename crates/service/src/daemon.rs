@@ -20,6 +20,12 @@ use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+// The daemon owns the service's only threads: the crash-isolated engine
+// worker and its channel pair. The `expect`s below exempt just those.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the daemon owns the engine worker's channel pair"
+)]
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
@@ -39,6 +45,10 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_millis(250);
 pub const DEFAULT_MAX_TICKS: u64 = 1440;
 
 /// The channel pair a live engine worker listens on.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the daemon owns the engine worker's channel pair"
+)]
 struct EngineWorker {
     obs_tx: SyncSender<SystemObservation>,
     res_rx: Receiver<std::thread::Result<PolicyDecision>>,
@@ -47,8 +57,20 @@ struct EngineWorker {
 fn spawn_worker(key: &str) -> Result<(EngineWorker, &'static str), ServiceError> {
     let mut engine = try_engine(key)?;
     let display = engine.name();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the daemon owns the engine worker's channel pair"
+    )]
     let (obs_tx, obs_rx) = std::sync::mpsc::sync_channel::<SystemObservation>(1);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the daemon owns the engine worker's channel pair"
+    )]
     let (res_tx, res_rx) = std::sync::mpsc::sync_channel::<std::thread::Result<PolicyDecision>>(1);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the daemon owns the engine worker thread"
+    )]
     let spawned = std::thread::Builder::new()
         .name(format!("engine-{key}"))
         .spawn(move || {

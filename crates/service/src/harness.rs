@@ -487,7 +487,9 @@ impl ServiceCore {
 
     /// Graceful drain: close intake, flush the queue into the plant,
     /// write a final durable checkpoint, emit the drain line. Repeat
-    /// calls are idempotent (the first report is returned again).
+    /// calls are idempotent and do no work: they report `flushed_gb`
+    /// 0.0, `checkpointed` false and the last recorded telemetry line,
+    /// which is the drain line.
     pub fn drain(&mut self) -> DrainReport {
         if self.drained {
             let line = self.lines.last().cloned().unwrap_or_default();

@@ -3,6 +3,8 @@
 //! under random offer streams, and kill-resume determinism at random
 //! restore points.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_service::admission::{AdmissionConfig, AdmissionController, AdmissionVerdict, WorkClass};

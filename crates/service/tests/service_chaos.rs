@@ -3,6 +3,8 @@
 //! driven through the deterministic in-process [`ServiceCore`], no
 //! threads or wall clocks involved.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_service::harness::{ServiceCore, ServiceSpec};
 use ins_service::supervisor::{DecisionSource, EngineFault, EngineStatus, SupervisorConfig};
 use ins_sim::replay::ReplayFeed;
@@ -205,6 +207,11 @@ fn drain_resolves_every_offered_request_exactly() {
     // Draining twice is idempotent.
     let again = core.drain();
     assert_eq!(again.flushed_gb, 0.0);
+    assert!(!again.checkpointed, "a repeat drain writes no checkpoint");
+    assert_eq!(
+        again.line, report.line,
+        "a repeat drain reports the drain line"
+    );
     assert!(core.tick().is_none(), "no ticks after drain");
 }
 

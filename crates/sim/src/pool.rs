@@ -10,8 +10,8 @@
 //! * results are collected **in input order**, regardless of completion
 //!   order, so serial and parallel runs produce byte-identical output;
 //! * no wall-clock, thread-id or OS randomness enters the cell closure
-//!   (rule L003 — this module is covered by `ins-lint` like the rest of
-//!   the simulation kernel).
+//!   (`clippy::disallowed_methods` bans those reads here like in the
+//!   rest of the simulation kernel).
 //!
 //! The scheduler is a chunk-free shared cursor: workers race on an atomic
 //! index and claim the next unstarted cell. That ordering race affects
@@ -30,6 +30,12 @@
 //! assert_eq!(squares, pool::scoped_map(1, &[1u64, 2, 3, 4, 5], |_, &x| x * x));
 //! ```
 
+// The one sanctioned owner of threads and atomics in the workspace: the
+// `expect`s below exempt only the shared cursor and the scoped threads.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the pool owns the workspace's shared cursor"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker threads the host machine can usefully run, for "use all cores"
@@ -70,7 +76,15 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the pool owns the workspace's shared cursor"
+    )]
     let cursor = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool owns the workspace's threads"
+    )]
     let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -105,13 +119,14 @@ where
             slots[i] = Some(r);
         }
     }
-    slots
+    // Unreachable by construction: the cursor hands out each index
+    // exactly once, and any worker panic has already propagated.
+    #[expect(clippy::expect_used, reason = "internal invariant, not an error path")]
+    let results = slots
         .into_iter()
-        // Unreachable by construction: the cursor hands out each index
-        // exactly once, and any worker panic has already propagated.
-        // ins-lint: allow(L002) -- internal invariant, not an error path
         .map(|s| s.expect("every cell index claimed exactly once"))
-        .collect()
+        .collect();
+    results
 }
 
 #[cfg(test)]

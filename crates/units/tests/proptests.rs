@@ -1,5 +1,7 @@
 //! Property tests for the unit system's algebraic laws.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_units::{Amps, Hours, Soc, Volts, Watts};

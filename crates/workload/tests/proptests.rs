@@ -1,5 +1,7 @@
 //! Property tests for the workload models.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_sim::time::{SimDuration, SimTime};

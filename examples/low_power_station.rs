@@ -9,6 +9,8 @@
 //! cargo run --example low_power_station
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "example code")]
+
 use insure::cluster::profiles::ServerProfile;
 use insure::cluster::rack::Rack;
 use insure::core::controller::InsureController;

@@ -5,6 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "example code")]
+
 use insure::core::controller::InsureController;
 use insure::core::metrics::RunMetrics;
 use insure::core::system::InSituSystem;

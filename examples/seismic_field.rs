@@ -8,6 +8,8 @@
 //! cargo run --example seismic_field
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "example code")]
+
 use insure::core::controller::{
     BaselineController, InsureController, NoOptController, PowerController,
 };

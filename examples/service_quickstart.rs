@@ -14,6 +14,8 @@
 //!     --engine insure --seed 42 --replay feed.csv
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "example code")]
+
 use insure::service::admission::WorkClass;
 use insure::service::harness::{ServiceCore, ServiceSpec};
 use insure::service::supervisor::EngineFault;

@@ -9,6 +9,8 @@
 //! cargo run --example video_surveillance
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "example code")]
+
 use insure::cluster::rack::Rack;
 use insure::core::controller::InsureController;
 use insure::core::metrics::RunMetrics;

@@ -8,6 +8,8 @@
 //! cargo run --example weather_week
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "example code")]
+
 use insure::core::controller::InsureController;
 use insure::core::log::daily_logs;
 use insure::core::metrics::RunMetrics;

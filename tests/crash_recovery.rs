@@ -9,6 +9,8 @@
 //! CI's chaos job fans the fixed-seed tests across a seed matrix via the
 //! `INS_CHAOS_SEED` environment variable (default 11).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use insure::core::controller::InsureController;
 use insure::core::metrics::RunMetrics;
 use insure::core::system::{InSituSystem, SystemEvent};

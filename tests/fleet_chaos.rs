@@ -7,6 +7,8 @@
 //! outcome, breakers must account for their trips, and the trajectory
 //! must replay bit-identically.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use insure::fleet::{Fleet, FleetConfig};
 use insure::sim::fault::FaultKind;
 use insure::sim::time::{SimDuration, SimTime};

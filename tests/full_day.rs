@@ -1,5 +1,7 @@
 //! Integration tests: full-day co-simulation across every crate.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use insure::battery::BatteryUnit;
 use insure::core::controller::{
     BaselineController, InsureController, NoOptController, PowerController,

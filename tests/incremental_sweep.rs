@@ -9,6 +9,8 @@
 //! for the fork-boundary rule that fault events delivered before the
 //! fork instant must never re-fire in a forked cell.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use ins_bench::experiments::{faults, fleet, recovery};

@@ -4,6 +4,8 @@
 //! expected to match the authors' testbed; the *shape* (who wins, rough
 //! factor, crossover position) is.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_bench::experiments::{buffer, costs, logs, micro, sizing};
 use insure::sim::units::WattHours;
 use insure::solar::weather::DayWeather;

@@ -6,6 +6,8 @@
 //! by rendering the fault-sweep and recovery grids serially and at
 //! several worker counts, including counts above the cell count.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use ins_bench::experiments::{faults, fleet, recovery};
 
 #[test]

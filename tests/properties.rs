@@ -1,5 +1,7 @@
 //! Property-based integration tests over the physical substrates.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 
 use insure::battery::{BatteryId, BatteryParams, BatteryUnit};
