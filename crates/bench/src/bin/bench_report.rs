@@ -7,19 +7,13 @@
 //!
 //! `BENCH_step.json` records the simulator's hot-path timings (the
 //! per-step cost `InSituSystem::step` pays and the one-day run built on
-//! it). The direct-vs-engine day pair is measured with interleaved
-//! A/B/A/B batches and a discarded warm-up round, and the overhead is
-//! the *paired median* of per-round ratios — measuring the two variants
-//! sequentially instead lets warm-up (allocator, caches, frequency
-//! scaling) land entirely on the first variant and once reported a
-//! nonsensical negative engine overhead. `BENCH_sweep.json` records
-//! wall-clock for the fault-sweep and recovery grids serially and at
-//! `--threads N` (default: available parallelism) with the resulting
-//! speedup, the machine's `available_parallelism` so sub-1.0× speedups
-//! on single-core runners are explicable from the artifact alone, and
-//! the incremental engine's scratch-vs-forked timing on the shared
-//! late-window grid. Both files are written for CI to upload and diff
-//! across commits.
+//! it). `BENCH_sweep.json` records wall-clock for the fault-sweep and
+//! recovery grids serially and at `--threads N` (default: available
+//! parallelism) with the resulting speedup, the machine's
+//! `available_parallelism` so sub-1.0× speedups on single-core runners
+//! are explicable from the artifact alone, and the incremental engine's
+//! scratch-vs-forked timing on the shared late-window grid. Both files
+//! are written for CI to upload and diff across commits.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -28,8 +22,7 @@ use criterion::{black_box, Criterion};
 use ins_bench::experiments::{faults, recovery};
 use ins_bench::export::json_number;
 use ins_bench::runner::parse_threads;
-use ins_core::controller::{InsureController, PowerController};
-use ins_core::engine::EngineController;
+use ins_core::controller::InsureController;
 use ins_core::system::InSituSystem;
 use ins_sim::pool::available_threads;
 use ins_sim::time::{SimDuration, SimTime};
@@ -66,51 +59,15 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-fn one_day_60s(controller: Box<dyn PowerController>) -> f64 {
-    let mut sys = InSituSystem::builder(high_generation_day(1), controller)
-        .time_step(SimDuration::from_secs(60))
-        .build();
+fn one_day_60s() -> f64 {
+    let mut sys = InSituSystem::builder(
+        high_generation_day(1),
+        Box::new(InsureController::default()),
+    )
+    .time_step(SimDuration::from_secs(60))
+    .build();
     sys.run_until(SimTime::from_hms(23, 59, 0));
     sys.workload().processed_gb()
-}
-
-fn timed_batch(iters: u32, mut routine: impl FnMut() -> f64) -> f64 {
-    #[expect(clippy::disallowed_methods, reason = "a benchmark measures wall time")]
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(routine());
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters.max(1))
-}
-
-/// Measures the direct-vs-engine one-day pair with interleaved A/B/A/B
-/// batches: each round times a batch of direct runs, then a batch of
-/// engine runs, and contributes one *paired* ratio. Round 0 is a
-/// discarded warm-up — it absorbs allocator growth, cache priming and
-/// frequency ramp that would otherwise be billed to whichever variant
-/// runs first (the bug that once produced a −7.68 % "overhead").
-/// Returns `(direct ns, engine ns, median paired ratio)`.
-fn paired_day_measurement(rounds: usize, iters: u32) -> (f64, f64, f64) {
-    let mut direct_ns = Vec::with_capacity(rounds);
-    let mut engine_ns = Vec::with_capacity(rounds);
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..=rounds {
-        let d = timed_batch(iters, || one_day_60s(Box::new(InsureController::default())));
-        let e = timed_batch(iters, || {
-            one_day_60s(Box::new(EngineController::new(Box::new(
-                InsureController::default(),
-            ))))
-        });
-        if round == 0 {
-            continue;
-        }
-        direct_ns.push(d);
-        engine_ns.push(e);
-        if d > 0.0 {
-            ratios.push(e / d);
-        }
-    }
-    (median(&direct_ns), median(&engine_ns), median(&ratios))
 }
 
 fn step_report() -> String {
@@ -130,40 +87,22 @@ fn step_report() -> String {
         });
     });
 
-    // The one-day run directly vs behind the PolicyEngine trait (the
-    // service runtime's indirection), measured as interleaved pairs. CI
-    // asserts the overhead ratio stays non-negative and under 2 %.
-    let (direct_ns, engine_ns, ratio) = paired_day_measurement(149, 1);
-    println!(
-        "bench: {:<44} {:>10.0} ns/iter",
-        "insure_one_day_60s_steps", direct_ns
-    );
-    println!(
-        "bench: {:<44} {:>10.0} ns/iter",
-        "insure_one_day_60s_steps_engine", engine_ns
-    );
-    let mut results = c.results().to_vec();
-    results.push(("insure_one_day_60s_steps".to_string(), direct_ns));
-    results.push(("insure_one_day_60s_steps_engine".to_string(), engine_ns));
+    c.bench_function("insure_one_day_60s_steps", |b| {
+        b.iter(one_day_60s);
+    });
 
+    let results = c.results();
     let step_ns = results
         .iter()
         .find(|(n, _)| n == "full_system_step_10s")
         .map_or(0.0, |(_, ns)| *ns);
     let steps_per_sec = if step_ns > 0.0 { 1e9 / step_ns } else { 0.0 };
-    let engine_overhead_pct = (ratio - 1.0) * 100.0;
     bench_json(
-        &results,
-        &[
-            (
-                "steps_per_second".to_string(),
-                json_number(steps_per_sec.round()),
-            ),
-            (
-                "engine_overhead_pct".to_string(),
-                json_number((engine_overhead_pct * 100.0).round() / 100.0),
-            ),
-        ],
+        results,
+        &[(
+            "steps_per_second".to_string(),
+            json_number(steps_per_sec.round()),
+        )],
     )
 }
 

@@ -67,7 +67,7 @@ fn schedule_for(seed: u64, mean_hours: Option<f64>) -> FaultSchedule {
 /// `[18 h, 24 h)`: the first 75 % of each cell's trajectory is
 /// fault-free and therefore shared across the whole grid. This is the
 /// benchmark grid for measuring the incremental sweep's speedup — the
-/// default [`schedule_for`] grids draw their first event early, so their
+/// default `schedule_for` grids draw their first event early, so their
 /// shared prefixes are short.
 #[must_use]
 pub fn late_window_schedule_for(seed: u64, mean_hours: Option<f64>) -> FaultSchedule {

@@ -1,6 +1,6 @@
 //! Virtual-machine placement and checkpoint bookkeeping.
 //!
-//! The prototype "host[s] all workloads in virtual machines (VM) on Xen…
+//! The prototype "host\[s\] all workloads in virtual machines (VM) on Xen…
 //! Each physical machine hosts 2 VMs" and its server-control API covers
 //! "frequency scaling, server power state control, and virtual machine
 //! migration" (§4–5). [`VmPool`] tracks where each VM instance lives,

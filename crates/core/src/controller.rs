@@ -12,6 +12,11 @@
 //!   non-reconfigurable buffer,
 //! * [`NoOptController`] — Table 6's "Non-Opt" log: a fixed daily server
 //!   schedule that uses the buffer aggressively with few control actions.
+//!
+//! [`PowerController`] is the only policy trait ([`SnapshotController`]
+//! just marks the forkable ones). Service mode runs policies through
+//! [`crate::engine::decide`] and registers them in
+//! [`crate::engine::lineup`].
 
 use ins_battery::BatteryId;
 use ins_cluster::dvfs::DutyCycle;
@@ -94,7 +99,7 @@ pub trait PowerController {
     /// forking (see [`SnapshotController`]).
     ///
     /// The default declines: controllers wrapping non-clonable state
-    /// (service-mode engines, external processes) simply cannot be
+    /// (the service bridge, external processes) simply cannot be
     /// forked, and [`crate::system::InSituSystem::snapshot`] reports that
     /// as an error instead of guessing.
     fn fork_controller(&self) -> Option<Box<dyn SnapshotController>> {
@@ -107,13 +112,23 @@ pub trait PowerController {
 ///
 /// Implementations must produce an exact state copy: a forked cell is
 /// only byte-identical to its from-scratch run if the cloned controller
-/// resumes from precisely the prefix's internal state. Plain-data
-/// controllers get this for free from `#[derive(Clone)]`; `Send + Sync`
-/// is required so one frozen snapshot can seed forks on many sweep
-/// workers at once.
+/// resumes from precisely the prefix's internal state. `Send + Sync` is
+/// required so one frozen snapshot can seed forks on many sweep workers
+/// at once. Every plain-data policy gets this from `#[derive(Clone)]`
+/// through the blanket impl below; a controller that wraps external
+/// machinery (the service bridge) is not `Clone`, keeps the default
+/// [`PowerController::fork_controller`], and so makes
+/// [`crate::system::InSituSystem::snapshot`] fail loudly instead of
+/// forking a handle whose far side cannot be duplicated.
 pub trait SnapshotController: PowerController + Send + Sync {
     /// Duplicates the controller, state and all.
     fn clone_snapshot(&self) -> Box<dyn SnapshotController>;
+}
+
+impl<T: PowerController + Clone + Send + Sync + 'static> SnapshotController for T {
+    fn clone_snapshot(&self) -> Box<dyn SnapshotController> {
+        Box::new(self.clone())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -692,47 +707,6 @@ impl PowerController for NoOptController {
     }
 }
 
-// Every stock policy is plain data, so its snapshot copy is a derived
-// clone. Controllers that wrap external machinery (the service bridge,
-// the PolicyEngine adapter) deliberately do *not* appear here: they keep
-// the default `fork_controller() -> None`, which makes
-// `InSituSystem::snapshot()` fail loudly instead of forking a handle
-// whose far side cannot be duplicated.
-impl SnapshotController for InsureController {
-    fn clone_snapshot(&self) -> Box<dyn SnapshotController> {
-        Box::new(self.clone())
-    }
-}
-
-impl SnapshotController for BaselineController {
-    fn clone_snapshot(&self) -> Box<dyn SnapshotController> {
-        Box::new(self.clone())
-    }
-}
-
-impl SnapshotController for NoOptController {
-    fn clone_snapshot(&self) -> Box<dyn SnapshotController> {
-        Box::new(self.clone())
-    }
-}
-
-/// Convenience alias used across experiments.
-pub type BoxedController = Box<dyn PowerController>;
-
-/// A named controller factory, as used by experiment sweeps.
-pub type ControllerFactory = (&'static str, fn() -> BoxedController);
-
-/// The evaluation's controller line-up, for experiments that sweep all
-/// three policies.
-#[must_use]
-pub fn lineup() -> Vec<ControllerFactory> {
-    vec![
-        ("insure", || Box::new(InsureController::default())),
-        ("baseline", || Box::new(BaselineController::new())),
-        ("noopt", || Box::new(NoOptController::new())),
-    ]
-}
-
 /// Minimum duration between controller invocations used by experiments.
 #[must_use]
 pub fn default_control_period() -> SimDuration {
@@ -1042,15 +1016,5 @@ mod tests {
         assert_eq!(c.control(&o).target_vms, Some(8));
         o.now = SimTime::from_hms(19, 0, 0);
         assert_eq!(c.control(&o).target_vms, Some(0));
-    }
-
-    #[test]
-    fn lineup_builds_all_three() {
-        let l = lineup();
-        assert_eq!(l.len(), 3);
-        for (name, make) in l {
-            let c = make();
-            assert!(!c.name().is_empty(), "{name}");
-        }
     }
 }

@@ -354,8 +354,8 @@ struct SnapshotState {
 
 /// A copy-on-write snapshot of an [`InSituSystem`] mid-run.
 ///
-/// The state sits behind an [`Arc`], so handing a snapshot to every
-/// worker of a sweep pool shares one frozen copy; each
+/// The state sits behind an [`Arc`](std::sync::Arc), so handing a
+/// snapshot to every worker of a sweep pool shares one frozen copy; each
 /// [`InSituSystem::fork_from`] call then pays only for the clone it
 /// actually needs. The snapshot embeds the job-checkpoint store (the
 /// PR 3 [`ins_workload::checkpoint::CheckpointStore`], whose round-trip
@@ -1615,7 +1615,7 @@ impl SystemBuilder {
 mod tests {
     use super::*;
     use crate::controller::{BaselineController, InsureController, NoOptController};
-    use crate::engine::{EngineController, PolicyEngine};
+    use crate::engine::lineup;
     use crate::metrics::RunMetrics;
     use ins_solar::trace::high_generation_day;
 
@@ -1643,40 +1643,50 @@ mod tests {
             )
         };
         let end = SimTime::from_hms(23, 59, 30);
-        // From scratch: the whole day under the cell's schedule.
-        let mut scratch = InSituSystem::builder(
-            high_generation_day(42),
-            Box::new(InsureController::default()),
-        )
-        .time_step(SimDuration::from_secs(30))
-        .fault_schedule(schedule())
-        .build();
-        scratch.run_until(end);
-        // Incremental: fault-free shared prefix to 06:00, snapshot, fork
-        // under the same schedule (first event 07:00 > fork point).
-        let mut prefix = day_system(Box::new(InsureController::default()));
-        prefix.run_until(SimTime::from_hms(6, 0, 0));
-        let snap = prefix.snapshot().expect("stock controllers fork");
-        let mut forked = InSituSystem::fork_from(&snap, schedule());
-        forked.run_until(end);
-        // Mutating the prefix afterwards must not disturb the fork's
-        // source (copy-on-write isolation).
-        prefix.run_until(SimTime::from_hms(8, 0, 0));
-        assert_eq!(RunMetrics::collect(&scratch), RunMetrics::collect(&forked));
-        assert_eq!(scratch.trace_solar(), forked.trace_solar());
-        assert_eq!(scratch.trace_load(), forked.trace_load());
-        assert_eq!(scratch.trace_stored(), forked.trace_stored());
-        assert_eq!(scratch.trace_pack_voltage(), forked.trace_pack_voltage());
-        assert_eq!(scratch.events().len(), forked.events().len());
-        assert_eq!(
-            scratch
-                .events()
-                .count(|e| matches!(e, SystemEvent::FaultInjected(_))),
-            forked
-                .events()
-                .count(|e| matches!(e, SystemEvent::FaultInjected(_)))
-        );
-        assert_eq!(scratch.now(), forked.now());
+        for (name, make) in lineup() {
+            let policy = || make().unwrap_or_else(|e| panic!("{name}: {e}"));
+            // From scratch: the whole day under the cell's schedule.
+            let mut scratch = InSituSystem::builder(high_generation_day(42), policy())
+                .time_step(SimDuration::from_secs(30))
+                .fault_schedule(schedule())
+                .build();
+            scratch.run_until(end);
+            // Incremental: fault-free shared prefix to 06:00, snapshot,
+            // fork under the same schedule (first event 07:00 > fork
+            // point).
+            let mut prefix = day_system(policy());
+            prefix.run_until(SimTime::from_hms(6, 0, 0));
+            let snap = prefix.snapshot().expect("registered policies fork");
+            let mut forked = InSituSystem::fork_from(&snap, schedule());
+            forked.run_until(end);
+            // Mutating the prefix afterwards must not disturb the fork's
+            // source (copy-on-write isolation).
+            prefix.run_until(SimTime::from_hms(8, 0, 0));
+            assert_eq!(
+                RunMetrics::collect(&scratch),
+                RunMetrics::collect(&forked),
+                "{name}"
+            );
+            assert_eq!(scratch.trace_solar(), forked.trace_solar(), "{name}");
+            assert_eq!(scratch.trace_load(), forked.trace_load(), "{name}");
+            assert_eq!(scratch.trace_stored(), forked.trace_stored(), "{name}");
+            assert_eq!(
+                scratch.trace_pack_voltage(),
+                forked.trace_pack_voltage(),
+                "{name}"
+            );
+            assert_eq!(scratch.events().len(), forked.events().len(), "{name}");
+            assert_eq!(
+                scratch
+                    .events()
+                    .count(|e| matches!(e, SystemEvent::FaultInjected(_))),
+                forked
+                    .events()
+                    .count(|e| matches!(e, SystemEvent::FaultInjected(_))),
+                "{name}"
+            );
+            assert_eq!(scratch.now(), forked.now(), "{name}");
+        }
     }
 
     #[test]
@@ -1697,12 +1707,25 @@ mod tests {
         assert_eq!(injected, 1, "only the post-fork event may fire");
     }
 
+    /// Wraps state it cannot copy, so it keeps the default
+    /// `fork_controller() -> None`.
+    struct Unforkable;
+
+    impl PowerController for Unforkable {
+        fn name(&self) -> &'static str {
+            "unforkable"
+        }
+
+        fn control(&mut self, _obs: &SystemObservation) -> ControlAction {
+            ControlAction::default()
+        }
+    }
+
     #[test]
-    fn engine_wrapped_controllers_decline_snapshotting() {
-        let engine: Box<dyn PolicyEngine> = Box::new(InsureController::default());
-        let sys = day_system(Box::new(EngineController::new(engine)));
-        let err = sys.snapshot().expect_err("engine adapters cannot fork");
-        assert!(matches!(err, SnapshotError::ControllerNotForkable(_)));
+    fn unforkable_controllers_decline_snapshotting() {
+        let sys = day_system(Box::new(Unforkable));
+        let err = sys.snapshot().expect_err("the controller cannot fork");
+        assert_eq!(err, SnapshotError::ControllerNotForkable("unforkable"));
         assert!(err.to_string().contains("snapshot forking"));
     }
 

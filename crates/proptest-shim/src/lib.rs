@@ -222,7 +222,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use core::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`]: `lo..hi` or `lo..=hi`.
+    /// Length bounds for [`vec()`]: `lo..hi` or `lo..=hi`.
     pub trait SizeBounds {
         /// `(min, max)` inclusive length bounds.
         fn bounds(&self) -> (usize, usize);

@@ -30,7 +30,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 use ins_core::controller::SystemObservation;
-use ins_core::engine::{try_engine, PolicyDecision};
+use ins_core::engine::{decide, try_engine, PolicyDecision};
 
 use crate::harness::{DrainReport, ServiceCore, ServiceError, ServiceSpec};
 use crate::protocol;
@@ -75,7 +75,7 @@ fn spawn_worker(key: &str) -> Result<(EngineWorker, &'static str), ServiceError>
         .name(format!("engine-{key}"))
         .spawn(move || {
             while let Ok(obs) = obs_rx.recv() {
-                let result = catch_unwind(AssertUnwindSafe(|| engine.decide(&obs)));
+                let result = catch_unwind(AssertUnwindSafe(|| decide(engine.as_mut(), &obs)));
                 let poisoned = result.is_err();
                 if res_tx.send(result).is_err() || poisoned {
                     // Receiver gone (stall-abandoned) or engine state

@@ -91,7 +91,7 @@ impl From<ResumeError> for ServiceError {
 /// Everything that determines a service run.
 #[derive(Debug, Clone)]
 pub struct ServiceSpec {
-    /// Engine registry key (see [`ins_core::engine::engine_lineup`]).
+    /// Engine registry key (see [`ins_core::engine::lineup`]).
     pub engine: String,
     /// Seed for the synthetic solar day (ignored when a replay feed
     /// supplies irradiance).

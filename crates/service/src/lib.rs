@@ -8,7 +8,7 @@
 //! telemetry intact. This crate adds that runtime:
 //!
 //! * [`safe_mode`] — [`safe_mode::SafeModePolicy`], the built-in
-//!   conservative fallback engine (tightened discharge set, shed-first
+//!   conservative fallback policy (tightened discharge set, shed-first
 //!   load control, Fig. 8 mode transitions),
 //! * [`supervisor`] — the crash/stall supervisor: a faulting engine is
 //!   replaced by safe mode *within the same control period*, restarted

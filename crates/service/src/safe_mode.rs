@@ -8,8 +8,8 @@
 //! first sign of deficit. It is deliberately simple enough to audit —
 //! the whole point is that it cannot itself misbehave.
 
-use ins_core::controller::{ControlAction, SystemObservation};
-use ins_core::engine::{classify, PolicyDecision, PolicyEngine, StateClass};
+use ins_core::controller::{ControlAction, PowerController, SystemObservation};
+use ins_core::engine::{classify, StateClass};
 use ins_core::mode::{transition, BufferMode, TransitionCause};
 use ins_core::tpm::LoadKnob;
 use ins_powernet::matrix::Attachment;
@@ -127,12 +127,12 @@ impl SafeModePolicy {
     }
 }
 
-impl PolicyEngine for SafeModePolicy {
+impl PowerController for SafeModePolicy {
     fn name(&self) -> &'static str {
         "safe-mode"
     }
 
-    fn decide(&mut self, obs: &SystemObservation) -> PolicyDecision {
+    fn control(&mut self, obs: &SystemObservation) -> ControlAction {
         let state = classify(obs);
         let solar_up = obs.solar_power.value() > SOLAR_UP_W;
         self.sync(obs);
@@ -174,14 +174,11 @@ impl PolicyEngine for SafeModePolicy {
             }
         };
 
-        PolicyDecision {
-            state,
-            action: ControlAction {
-                attachments,
-                target_vms: if emergency { None } else { target_vms },
-                duty,
-                emergency_shutdown: emergency,
-            },
+        ControlAction {
+            attachments,
+            target_vms: if emergency { None } else { target_vms },
+            duty,
+            emergency_shutdown: emergency,
         }
     }
 }
@@ -191,6 +188,7 @@ mod tests {
     use super::*;
     use ins_battery::BatteryId;
     use ins_cluster::dvfs::DutyCycle;
+    use ins_core::engine::decide;
     use ins_sim::time::{SimDuration, SimTime};
     use ins_sim::units::{AmpHours, Amps, Soc, Volts, Watts};
 
@@ -233,7 +231,7 @@ mod tests {
     #[test]
     fn deficit_discharges_only_comfortable_units_and_sheds_load() {
         let mut p = SafeModePolicy::new();
-        let d = p.decide(&obs(100.0, 900.0, &[0.8, 0.4, 0.2]));
+        let d = decide(&mut p, &obs(100.0, 900.0, &[0.8, 0.4, 0.2]));
         assert_eq!(d.state, StateClass::Deficit);
         // Unit 0 (0.8) discharges, unit 1 (0.4) is below the tightened
         // floor, unit 2 (0.2) charges (solar is up).
@@ -247,7 +245,7 @@ mod tests {
     #[test]
     fn surplus_charges_depleted_units_floats_the_rest_and_never_scales_up() {
         let mut p = SafeModePolicy::new();
-        let d = p.decide(&obs(1500.0, 400.0, &[0.3, 0.6, 0.95]));
+        let d = decide(&mut p, &obs(1500.0, 400.0, &[0.3, 0.6, 0.95]));
         assert_eq!(d.state, StateClass::Surplus);
         // The depleted unit reaches the charge bus through the
         // Offline → Charging edge; the charged-and-ready units stay on
@@ -271,7 +269,7 @@ mod tests {
         let mut p = SafeModePolicy::new();
         let mut o = obs(50.0, 900.0, &[0.2]);
         o.discharge_current = Amps::new(10.0);
-        let d = p.decide(&o);
+        let d = decide(&mut p, &o);
         assert_eq!(d.state, StateClass::Critical);
         assert!(d.action.emergency_shutdown);
     }
@@ -282,14 +280,14 @@ mod tests {
         // Start everything isolated; a deficit pulls a full unit through
         // Standby → Discharging in one legal step.
         let o = obs(100.0, 900.0, &[0.9]);
-        let d = p.decide(&o);
+        let d = decide(&mut p, &o);
         assert_eq!(p.modes()[0], BufferMode::Discharging);
         assert_eq!(d.action.attachments[0].1, Attachment::DischargeBus);
         // A later surplus returns it Discharging → Charging (edge 7).
         let o2 = obs(1500.0, 300.0, &[0.6]);
         let mut o2 = o2;
         o2.attachments = vec![Attachment::DischargeBus];
-        let d2 = p.decide(&o2);
+        let d2 = decide(&mut p, &o2);
         assert_eq!(p.modes()[0], BufferMode::Charging);
         assert_eq!(d2.action.attachments[0].1, Attachment::ChargeBus);
     }
@@ -299,11 +297,11 @@ mod tests {
         let mut p = SafeModePolicy::new();
         let mut o = obs(100.0, 900.0, &[0.8]);
         o.knob = LoadKnob::DutyCycle;
-        let d = p.decide(&o);
+        let d = decide(&mut p, &o);
         assert_eq!(d.action.duty, Some(DutyCycle::FULL.lowered()));
         assert_eq!(d.action.target_vms, None);
         let mut o = obs(900.0, 900.0, &[0.8]);
         o.knob = LoadKnob::DutyCycle;
-        assert_eq!(p.decide(&o).action.duty, None);
+        assert_eq!(decide(&mut p, &o).action.duty, None);
     }
 }

@@ -1,9 +1,11 @@
 //! The engine supervisor: crash/stall detection, safe-mode takeover,
 //! backoff-paced restarts and poison-engine quarantine.
 //!
-//! The supervisor sits between the plant and the primary
-//! [`PolicyEngine`]. Each control period it asks an
-//! [`EngineExecutor`] for the primary's decision; a fault ([`EngineFault`])
+//! The supervisor sits between the plant and the primary policy, a
+//! [`PowerController`](ins_core::controller::PowerController) from the
+//! [`ins_core::engine::lineup`] registry.
+//! Each control period it asks an [`EngineExecutor`] for the primary's
+//! [`decide`] result; a fault ([`EngineFault`])
 //! is answered by the built-in [`SafeModePolicy`] *in the same control
 //! period* — the plant never waits a period without orders. Failures
 //! feed the shared [`Backoff`] state machine: each one schedules a
@@ -17,13 +19,12 @@
 //! converts *injected* faults, while the daemon's threaded executor
 //! (see [`crate::daemon`]) converts real panics and wall-clock stalls.
 
-use ins_core::controller::SystemObservation;
-use ins_core::engine::{try_engine, BoxedEngine, EngineError, PolicyDecision};
+use ins_core::controller::{SnapshotController, SystemObservation};
+use ins_core::engine::{decide, try_engine, EngineError, PolicyDecision};
 use ins_sim::backoff::{Backoff, BackoffOutcome};
 use ins_sim::time::{SimDuration, SimTime};
 
 use crate::safe_mode::SafeModePolicy;
-use ins_core::engine::PolicyEngine;
 
 /// Why the primary engine failed to produce a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +74,7 @@ pub trait EngineExecutor {
 /// are *injected* by tests/chaos harnesses rather than caught.
 pub struct InlineExecutor {
     key: String,
-    engine: BoxedEngine,
+    engine: Box<dyn SnapshotController>,
     pending: Vec<EngineFault>,
 }
 
@@ -88,7 +89,7 @@ impl core::fmt::Debug for InlineExecutor {
 
 impl InlineExecutor {
     /// Builds the executor around the engine registered under `key`
-    /// (see [`ins_core::engine::engine_lineup`]).
+    /// (see [`ins_core::engine::lineup`]).
     ///
     /// # Errors
     ///
@@ -110,7 +111,7 @@ impl EngineExecutor for InlineExecutor {
 
     fn decide(&mut self, obs: &SystemObservation) -> Result<PolicyDecision, EngineFault> {
         if self.pending.is_empty() {
-            Ok(self.engine.decide(obs))
+            Ok(decide(self.engine.as_mut(), obs))
         } else {
             Err(self.pending.remove(0))
         }
@@ -324,7 +325,7 @@ impl Supervisor {
     ) -> SupervisedDecision {
         self.counters.safe_periods += 1;
         SupervisedDecision {
-            decision: self.safe.decide(obs),
+            decision: decide(&mut self.safe, obs),
             source,
         }
     }

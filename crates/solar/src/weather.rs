@@ -69,7 +69,7 @@ impl DayWeather {
 impl DayWeather {
     /// Draws a sequence of `days` day types whose long-run clear-time
     /// matches the given *sunshine fraction* (the percentage of daytime
-    /// with recorded sunshine, §6.5 [64]). Sunny days count fully toward
+    /// with recorded sunshine, §6.5 \[64\]). Sunny days count fully toward
     /// the fraction, cloudy days ≈ half, rainy days not at all.
     ///
     /// # Panics
