@@ -1,49 +1,31 @@
 //! Multi-unit e-Buffer aggregation.
 //!
 //! Utilities for working with a set of [`BatteryUnit`]s as the paper's
-//! "energy buffer": splitting a common discharge current across the online
-//! subset the way parallel strings share load (stronger units carry more),
+//! "energy buffer": weighting each unit's share of a common discharge
+//! current the way parallel strings share load (stronger units carry more),
 //! and computing pack-level statistics (total stored energy, voltage σ —
 //! the balance indicator of Table 6).
 
 use ins_sim::stats::RunningStats;
-use ins_sim::units::{Amps, Volts, WattHours};
+use ins_sim::units::{Volts, WattHours};
 
 use crate::unit::BatteryUnit;
 
-/// Splits a total discharge current across units the way parallel strings
-/// would: proportionally to each unit's conductance-weighted voltage
-/// headroom above the common bus.
-///
-/// Returns one current per unit, in the same order; units with no headroom
-/// receive zero. The currents sum to `total` unless every unit is
-/// exhausted, in which case they sum to less.
+/// A unit's weight when parallel strings share a discharge current
+/// (each carries `total · weight / Σ weights`): its open-circuit voltage
+/// headroom over the cutoff divided by its internal resistance (the
+/// linear-circuit solution up to a common offset, negative shares
+/// clamped), and zero once exhausted.
 #[must_use]
-pub fn split_discharge_current(units: &[&BatteryUnit], total: Amps) -> Vec<Amps> {
-    if units.is_empty() || total.value() <= 0.0 {
-        return vec![Amps::ZERO; units.len()];
+pub fn discharge_weight(unit: &BatteryUnit) -> f64 {
+    let headroom = (unit.open_circuit_voltage() - unit.params().cutoff_voltage)
+        .value()
+        .max(0.0);
+    if unit.is_exhausted() {
+        0.0
+    } else {
+        headroom / unit.params().r_discharge.value()
     }
-    // Weight by open-circuit voltage headroom over the weakest acceptable
-    // bus voltage divided by internal resistance: the linear-circuit
-    // solution up to a common offset, with negative shares clamped.
-    let weights: Vec<f64> = units
-        .iter()
-        .map(|u| {
-            let headroom = (u.open_circuit_voltage() - u.params().cutoff_voltage)
-                .value()
-                .max(0.0);
-            if u.is_exhausted() {
-                0.0
-            } else {
-                headroom / u.params().r_discharge.value()
-            }
-        })
-        .collect();
-    let sum: f64 = weights.iter().sum();
-    if sum <= 0.0 {
-        return vec![Amps::ZERO; units.len()];
-    }
-    weights.iter().map(|w| total * (w / sum)).collect()
 }
 
 /// Summary of the e-Buffer's aggregate state.
@@ -96,48 +78,27 @@ mod tests {
     use super::*;
     use crate::params::BatteryParams;
     use crate::unit::BatteryId;
-    use ins_sim::units::{Hours, Soc};
+    use ins_sim::units::{Amps, Hours, Soc};
 
     fn unit_at(id: usize, soc: f64) -> BatteryUnit {
         BatteryUnit::with_soc(BatteryId(id), BatteryParams::cabinet_24v(), Soc::new(soc))
     }
 
     #[test]
-    fn split_sums_to_total() {
-        let a = unit_at(0, 0.9);
-        let b = unit_at(1, 0.5);
-        let shares = split_discharge_current(&[&a, &b], Amps::new(30.0));
-        let total: f64 = shares.iter().map(|s| s.value()).sum();
-        assert!((total - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stronger_unit_carries_more() {
+    fn stronger_unit_weighs_more() {
         let strong = unit_at(0, 0.95);
         let weak = unit_at(1, 0.30);
-        let shares = split_discharge_current(&[&strong, &weak], Amps::new(30.0));
-        assert!(shares[0] > shares[1]);
-        assert!(shares[1].value() > 0.0);
+        assert!(discharge_weight(&strong) > discharge_weight(&weak));
+        assert!(discharge_weight(&weak) > 0.0);
     }
 
     #[test]
-    fn exhausted_unit_carries_nothing() {
+    fn exhausted_unit_weighs_nothing() {
         let mut dead = unit_at(0, 1.0);
         while !dead.is_exhausted() {
             dead.discharge(Amps::new(40.0), Hours::new(1.0 / 60.0));
         }
-        let alive = unit_at(1, 0.8);
-        let shares = split_discharge_current(&[&dead, &alive], Amps::new(20.0));
-        assert_eq!(shares[0], Amps::ZERO);
-        assert!((shares[1].value() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn split_handles_degenerate_inputs() {
-        assert!(split_discharge_current(&[], Amps::new(10.0)).is_empty());
-        let a = unit_at(0, 0.9);
-        let shares = split_discharge_current(&[&a], Amps::ZERO);
-        assert_eq!(shares, vec![Amps::ZERO]);
+        assert_eq!(discharge_weight(&dead), 0.0);
     }
 
     #[test]

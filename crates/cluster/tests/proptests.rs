@@ -8,10 +8,31 @@ use ins_cluster::dvfs::DutyCycle;
 use ins_cluster::profiles::ServerProfile;
 use ins_cluster::rack::Rack;
 use ins_cluster::server::{PowerState, Server, BASE_CRASH_COOLDOWN, MAX_CRASH_BACKOFF_DOUBLINGS};
+use ins_cluster::vm::VmPool;
 use ins_sim::time::SimDuration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Placement is idempotent: after any history of reconciles, a second
+    /// reconcile with the same target and serving mask performs no
+    /// operation and leaves the pool equal. `Rack::step` skips the call
+    /// on unchanged inputs on the strength of this.
+    #[test]
+    fn second_reconcile_with_same_inputs_is_a_no_op(
+        history in proptest::collection::vec((0u32..10, proptest::collection::vec(any::<bool>(), 4)), 0..8),
+        target in 0u32..10,
+        serving in proptest::collection::vec(any::<bool>(), 0..6),
+    ) {
+        let mut pool = VmPool::new(8, 2);
+        for (t, on) in &history {
+            pool.reconcile(*t, on);
+        }
+        pool.reconcile(target, &serving);
+        let placed = pool.clone();
+        prop_assert_eq!(pool.reconcile(target, &serving), 0);
+        prop_assert_eq!(pool, placed);
+    }
 
     /// Power draw is always within [0, peak × machines] and energy
     /// accumulates monotonically under arbitrary control sequences.

@@ -9,8 +9,8 @@
 
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_cluster::rack::Rack;
-use ins_powernet::bus::LoadBus;
-use ins_powernet::charger::ChargeController;
+use ins_powernet::bus::{LoadBus, OnBus};
+use ins_powernet::charger::{ChargeController, ChargeStep};
 use ins_powernet::matrix::{Attachment, SwitchMatrix};
 use ins_powernet::relay::RelayFault;
 use ins_sim::fault::{FaultClass, FaultEvent, FaultKind, FaultSchedule};
@@ -227,11 +227,10 @@ pub struct InSituSystem {
     /// instant.
     restart_storm_until: Option<SimTime>,
 
-    // Step-loop fast path: bus memberships recomputed only when the
-    // switch matrix reports a relay-state change (`None` = dirty).
-    matrix_cache_generation: Option<u64>,
-    cached_discharging: Vec<BatteryId>,
-    cached_charging: Vec<BatteryId>,
+    // Step-loop fast path: each unit's bus attachment, re-read only when
+    // the switch matrix reports a relay-state change (`None` = dirty).
+    roles_generation: Option<u64>,
+    roles: Vec<Attachment>,
 
     // Checkpoint/recovery state (None = checkpointing disabled).
     checkpointer: Option<JobCheckpointer>,
@@ -327,9 +326,8 @@ struct SnapshotState {
     stale_windows: Vec<Option<StaleWindow>>,
     checkpoint_faults: Vec<(usize, SimTime)>,
     restart_storm_until: Option<SimTime>,
-    matrix_cache_generation: Option<u64>,
-    cached_discharging: Vec<BatteryId>,
-    cached_charging: Vec<BatteryId>,
+    roles_generation: Option<u64>,
+    roles: Vec<Attachment>,
     checkpointer: Option<JobCheckpointer>,
     last_checkpoint_attempt: Option<SimTime>,
     needs_recovery: bool,
@@ -442,9 +440,8 @@ impl InSituSystem {
             stale_windows,
             checkpoint_faults,
             restart_storm_until,
-            matrix_cache_generation,
-            cached_discharging,
-            cached_charging,
+            roles_generation,
+            roles,
             checkpointer,
             last_checkpoint_attempt,
             needs_recovery,
@@ -491,9 +488,8 @@ impl InSituSystem {
                 stale_windows: stale_windows.clone(),
                 checkpoint_faults: checkpoint_faults.clone(),
                 restart_storm_until: *restart_storm_until,
-                matrix_cache_generation: *matrix_cache_generation,
-                cached_discharging: cached_discharging.clone(),
-                cached_charging: cached_charging.clone(),
+                roles_generation: *roles_generation,
+                roles: roles.clone(),
                 checkpointer: checkpointer.clone(),
                 last_checkpoint_attempt: *last_checkpoint_attempt,
                 needs_recovery: *needs_recovery,
@@ -562,9 +558,8 @@ impl InSituSystem {
             stale_windows,
             checkpoint_faults,
             restart_storm_until,
-            matrix_cache_generation,
-            cached_discharging,
-            cached_charging,
+            roles_generation,
+            roles,
             checkpointer,
             last_checkpoint_attempt,
             needs_recovery,
@@ -615,9 +610,8 @@ impl InSituSystem {
             stale_windows: stale_windows.clone(),
             checkpoint_faults: checkpoint_faults.clone(),
             restart_storm_until: *restart_storm_until,
-            matrix_cache_generation: *matrix_cache_generation,
-            cached_discharging: cached_discharging.clone(),
-            cached_charging: cached_charging.clone(),
+            roles_generation: *roles_generation,
+            roles: roles.clone(),
             checkpointer: checkpointer.clone(),
             last_checkpoint_attempt: *last_checkpoint_attempt,
             needs_recovery: *needs_recovery,
@@ -1219,14 +1213,13 @@ impl InSituSystem {
 
         // Bus memberships change only when a relay moves (controller
         // reconfiguration or relay fault); on the matrix's word that
-        // nothing moved since last step, reuse the cached lists instead
-        // of rescanning the relay network twice per step.
-        if self.matrix_cache_generation != Some(self.matrix.generation()) {
-            self.cached_discharging = self.matrix.discharging_units();
-            self.cached_charging = self.matrix.charging_units();
-            self.matrix_cache_generation = Some(self.matrix.generation());
+        // nothing moved since last step, reuse the role array instead of
+        // re-reading the relay network.
+        if self.roles_generation != Some(self.matrix.generation()) {
+            self.roles.clear();
+            self.roles.extend(self.matrix.attachments());
+            self.roles_generation = Some(self.matrix.generation());
         }
-        let discharging_ids = &self.cached_discharging;
 
         // Power settlement: load first (solar then discharging units).
         // An in-flight checkpoint write draws its storage-path power from
@@ -1237,14 +1230,12 @@ impl InSituSystem {
             _ => Watts::ZERO,
         };
         let demand = self.rack.power_demand(util) + checkpoint_power;
-        let settlement = {
-            let mut refs: Vec<&mut BatteryUnit> = self
-                .units
-                .iter_mut()
-                .filter(|u| discharging_ids.contains(&u.id()))
-                .collect();
-            self.bus.settle(demand, solar, &mut refs, dt_h)
-        };
+        let settlement = self.bus.settle(
+            demand,
+            solar,
+            &mut OnBus::new(&mut self.units, &self.roles, Attachment::DischargeBus),
+            dt_h,
+        );
         let pack_v = self
             .units
             .first()
@@ -1279,10 +1270,9 @@ impl InSituSystem {
             }
         }
         // Cutoff trips while discharging.
-        for id in discharging_ids {
-            let unit = &self.units[id.0];
-            if unit.at_cutoff(Amps::new(10.0)) {
-                self.events.push(now, SystemEvent::CutoffTrip(*id));
+        for (i, (unit, role)) in self.units.iter().zip(&self.roles).enumerate() {
+            if *role == Attachment::DischargeBus && unit.at_cutoff(Amps::new(10.0)) {
+                self.events.push(now, SystemEvent::CutoffTrip(BatteryId(i)));
             }
         }
 
@@ -1291,23 +1281,24 @@ impl InSituSystem {
         // units simply rest through it.
         let solar_left = (solar - settlement.solar_used).max(Watts::ZERO);
         let charger_down = self.charger_dropout_until.is_some_and(|t| now < t);
-        let charging_ids: &[BatteryId] = if charger_down {
-            &[]
+        let charge_step = if charger_down {
+            ChargeStep::idle()
         } else {
-            &self.cached_charging
-        };
-        let charge_step = {
-            let mut refs: Vec<&mut BatteryUnit> = self
-                .units
-                .iter_mut()
-                .filter(|u| charging_ids.contains(&u.id()))
-                .collect();
-            self.charger.charge(&mut refs, solar_left, dt_h)
+            self.charger.charge(
+                &mut OnBus::new(&mut self.units, &self.roles, Attachment::ChargeBus),
+                solar_left,
+                dt_h,
+            )
         };
 
-        // Isolated units rest (recovery effect continues).
-        for u in self.units.iter_mut() {
-            let attached = discharging_ids.contains(&u.id()) || charging_ids.contains(&u.id());
+        // Units on no live bus rest (recovery effect continues): the
+        // isolated ones, and charge-bus ones through a charger dropout.
+        for (u, role) in self.units.iter_mut().zip(&self.roles) {
+            let attached = match role {
+                Attachment::DischargeBus => true,
+                Attachment::ChargeBus => !charger_down,
+                Attachment::Isolated => false,
+            };
             if !attached {
                 u.rest(dt_h);
             }
@@ -1584,9 +1575,8 @@ impl SystemBuilder {
             charger_dropout_until: None,
             checkpoint_faults: Vec::new(),
             restart_storm_until: None,
-            matrix_cache_generation: None,
-            cached_discharging: Vec::new(),
-            cached_charging: Vec::new(),
+            roles_generation: None,
+            roles: Vec::new(),
             checkpointer: self.checkpoint.map(JobCheckpointer::new),
             last_checkpoint_attempt: None,
             needs_recovery: false,

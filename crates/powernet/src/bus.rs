@@ -5,11 +5,87 @@
 //! PDU chain, reporting exactly where every watt went. This is the
 //! "power panel" of the prototype's Fig. 6 schematic.
 
-use ins_battery::pack::split_discharge_current;
+use ins_battery::pack::discharge_weight;
 use ins_battery::BatteryUnit;
-use ins_sim::units::{Hours, Watts};
+use ins_sim::units::{Amps, Hours, Watts};
 
 use crate::converter::Converter;
+use crate::matrix::Attachment;
+
+/// The battery units on one bus: either a list of them (slice, array or
+/// `Vec` of `&mut BatteryUnit`) or an [`OnBus`] role-array selection.
+pub trait BusUnits {
+    /// The attached units, in id order.
+    fn attached(&mut self) -> impl Iterator<Item = &mut BatteryUnit>;
+}
+
+impl BusUnits for [&mut BatteryUnit] {
+    fn attached(&mut self) -> impl Iterator<Item = &mut BatteryUnit> {
+        self.iter_mut().map(|u| &mut **u)
+    }
+}
+
+impl<const N: usize> BusUnits for [&mut BatteryUnit; N] {
+    fn attached(&mut self) -> impl Iterator<Item = &mut BatteryUnit> {
+        self.as_mut_slice().attached()
+    }
+}
+
+impl BusUnits for Vec<&mut BatteryUnit> {
+    fn attached(&mut self) -> impl Iterator<Item = &mut BatteryUnit> {
+        self.as_mut_slice().attached()
+    }
+}
+
+/// The units of `units` whose entry in `roles` is `bus`.
+///
+/// # Examples
+///
+/// ```
+/// use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
+/// use ins_powernet::bus::{LoadBus, OnBus};
+/// use ins_powernet::matrix::Attachment::{DischargeBus, Isolated};
+/// use ins_sim::units::{Hours, Watts};
+///
+/// let fresh = |i| BatteryUnit::new(BatteryId(i), BatteryParams::cabinet_24v());
+/// let mut units: Vec<BatteryUnit> = (0..3).map(fresh).collect();
+/// let roles = [DischargeBus, Isolated, DischargeBus];
+/// let s = LoadBus::prototype().settle(
+///     Watts::new(400.0),
+///     Watts::ZERO,
+///     &mut OnBus::new(&mut units, &roles, DischargeBus),
+///     Hours::new(0.1),
+/// );
+/// assert!(s.fully_served());
+/// assert_eq!(units[1], fresh(1), "the isolated unit is untouched");
+/// assert_ne!(units[0], fresh(0));
+/// ```
+#[derive(Debug)]
+pub struct OnBus<'a> {
+    units: &'a mut [BatteryUnit],
+    roles: &'a [Attachment],
+    bus: Attachment,
+}
+
+impl<'a> OnBus<'a> {
+    /// Selects the units whose attachment (`roles[i]` for `units[i]`) is
+    /// `bus`.
+    #[must_use]
+    pub fn new(units: &'a mut [BatteryUnit], roles: &'a [Attachment], bus: Attachment) -> Self {
+        Self { units, roles, bus }
+    }
+}
+
+impl BusUnits for OnBus<'_> {
+    fn attached(&mut self) -> impl Iterator<Item = &mut BatteryUnit> {
+        let bus = self.bus;
+        self.units
+            .iter_mut()
+            .zip(self.roles)
+            .filter(move |(_, role)| **role == bus)
+            .map(|(u, _)| u)
+    }
+}
 
 /// How one step's load demand was met.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,7 +165,7 @@ impl LoadBus {
         &self,
         demand: Watts,
         solar: Watts,
-        units: &mut [&mut BatteryUnit],
+        units: &mut (impl BusUnits + ?Sized),
         dt: Hours,
     ) -> LoadSettlement {
         let demand = demand.max(Watts::ZERO);
@@ -108,42 +184,48 @@ impl LoadBus {
         let battery_needed = bus_needed - solar_used;
 
         let mut battery_used = Watts::ZERO;
-        if battery_needed.value() > 1e-9 && !units.is_empty() {
-            // Convert the needed power into a total current at the mean
-            // pack voltage, split it, then let each unit deliver what its
-            // kinetics allow.
-            let mean_v: f64 = units
-                .iter()
-                .map(|u| u.open_circuit_voltage().value())
-                .sum::<f64>()
-                / units.len() as f64;
-            // First-order current estimate, then one sag-aware refinement:
-            // at current I the pack delivers I·(V − I·R∥), so asking for
-            // `needed` at the open-circuit voltage always under-delivers.
-            // A 2 % regulation margin covers the remaining error; any
-            // excess delivery is capped at the PDU and dissipated.
-            let r_parallel: f64 = units.len() as f64
-                / units
-                    .iter()
-                    .map(|u| 1.0 / u.params().r_discharge.value())
-                    .sum::<f64>()
-                / units.len() as f64;
-            let i0 = battery_needed.value() / mean_v.max(1.0);
-            let v_sag = (mean_v - i0 * r_parallel).max(1.0);
-            let total_current = ins_sim::units::Amps::new(battery_needed.value() / v_sag * 1.02);
-            let shares = {
-                let views: Vec<&BatteryUnit> = units.iter().map(|u| &**u).collect();
-                split_discharge_current(&views, total_current)
-            };
-            for (unit, share) in units.iter_mut().zip(shares) {
-                let out = unit.discharge(share, dt);
-                let delivered_w = if dt.value() > 0.0 {
-                    // Typed all the way: Ah / h = A, then A × V = W.
-                    out.delivered / dt * out.voltage
-                } else {
-                    Watts::ZERO
-                };
-                battery_used += delivered_w;
+        if battery_needed.value() > 1e-9 {
+            // First pass, before any unit moves: the mean pack voltage,
+            // the parallel resistance and the split weights' total.
+            let (mut n, mut ocv_sum, mut conductance, mut weight_sum) = (0usize, 0.0, 0.0, 0.0);
+            for u in units.attached() {
+                n += 1;
+                ocv_sum += u.open_circuit_voltage().value();
+                conductance += 1.0 / u.params().r_discharge.value();
+                weight_sum += discharge_weight(u);
+            }
+            if n > 0 {
+                // Convert the needed power into a total current at the
+                // mean pack voltage, split it, then let each unit deliver
+                // what its kinetics allow.
+                let mean_v = ocv_sum / n as f64;
+                // First-order current estimate, then one sag-aware
+                // refinement: at current I the pack delivers I·(V − I·R∥),
+                // so asking for `needed` at the open-circuit voltage
+                // always under-delivers. A 2 % regulation margin covers
+                // the remaining error; any excess delivery is capped at
+                // the PDU and dissipated.
+                let r_parallel = n as f64 / conductance / n as f64;
+                let i0 = battery_needed.value() / mean_v.max(1.0);
+                let v_sag = (mean_v - i0 * r_parallel).max(1.0);
+                let total_current = Amps::new(battery_needed.value() / v_sag * 1.02);
+                // Second pass: a unit's weight is unchanged until that
+                // unit itself discharges.
+                for unit in units.attached() {
+                    let share = if weight_sum > 0.0 {
+                        total_current * (discharge_weight(unit) / weight_sum)
+                    } else {
+                        Amps::ZERO
+                    };
+                    let out = unit.discharge(share, dt);
+                    let delivered_w = if dt.value() > 0.0 {
+                        // Typed all the way: Ah / h = A, then A × V = W.
+                        out.delivered / dt * out.voltage
+                    } else {
+                        Watts::ZERO
+                    };
+                    battery_used += delivered_w;
+                }
             }
         }
 

@@ -108,9 +108,10 @@ impl RelayPair {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchMatrix {
     pairs: Vec<RelayPair>,
-    /// Bumped on every operation that may move a relay contact, so
-    /// callers polling the bus membership every simulation step can skip
-    /// recomputing it while the relay state is provably unchanged.
+    /// Bumped by every attach that moves a relay contact and by every
+    /// fault injection or repair, so callers polling the bus membership
+    /// every simulation step can skip recomputing it while the relay
+    /// state is provably unchanged.
     generation: u64,
 }
 
@@ -124,11 +125,13 @@ impl SwitchMatrix {
         }
     }
 
-    /// A counter that changes whenever relay state *may* have changed
-    /// (any [`SwitchMatrix::attach`], fault injection or fault repair).
-    /// Two reads returning the same value guarantee the bus memberships
-    /// ([`SwitchMatrix::charging_units`] etc.) are unchanged between
-    /// them, so per-step callers can cache those lists.
+    /// A counter that changes whenever relay state may have changed: an
+    /// [`SwitchMatrix::attach`] that moved a contact, a fault injection
+    /// or a fault repair. A re-attach that leaves both contacts where
+    /// they were does not change it. Two reads returning the same value
+    /// guarantee the bus memberships ([`SwitchMatrix::attachments`],
+    /// [`SwitchMatrix::charging_units`] etc.) are unchanged between them,
+    /// so per-step callers can cache them.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -171,7 +174,7 @@ impl SwitchMatrix {
         to: Attachment,
     ) -> Result<Attachment, UnknownUnitError> {
         let pair = self.pairs.get_mut(id.0).ok_or(UnknownUnitError(id))?;
-        self.generation += 1;
+        let before = *pair;
         match to {
             Attachment::Isolated => {
                 pair.charge.open();
@@ -195,6 +198,9 @@ impl SwitchMatrix {
             !(pair.charge.is_closed() && pair.discharge.is_closed())
                 || (pair.charge.is_faulted() && pair.discharge.is_faulted())
         );
+        if *pair != before {
+            self.generation += 1;
+        }
         Ok(pair.attachment())
     }
 
@@ -253,6 +259,11 @@ impl SwitchMatrix {
     ) -> Result<Option<RelayFault>, UnknownUnitError> {
         let pair = self.pairs.get(id.0).ok_or(UnknownUnitError(id))?;
         Ok(pair.relay(role).fault())
+    }
+
+    /// Every unit's attachment, in id order (see [`SwitchMatrix::attachment`]).
+    pub fn attachments(&self) -> impl Iterator<Item = Attachment> + '_ {
+        self.pairs.iter().map(RelayPair::attachment)
     }
 
     /// Units currently on the charge bus, in id order. A cross-tied unit
@@ -512,6 +523,46 @@ mod tests {
         let g3 = m.generation();
         assert!(m.attach(BatteryId(9), Attachment::ChargeBus).is_err());
         assert_eq!(m.generation(), g3);
+        Ok(())
+    }
+
+    #[test]
+    fn no_op_reattach_leaves_generation_unchanged() -> Result<(), UnknownUnitError> {
+        let mut m = SwitchMatrix::new(2);
+        m.attach(BatteryId(0), Attachment::ChargeBus)?;
+        m.inject_relay_fault(BatteryId(1), RelayRole::Discharge, RelayFault::StuckOpen)?;
+        let g = m.generation();
+        // Re-attaching where a unit already is moves no contact, and a
+        // command a stuck relay ignores moves none either.
+        m.attach(BatteryId(0), Attachment::ChargeBus)?;
+        m.attach(BatteryId(1), Attachment::Isolated)?;
+        assert_eq!(
+            m.attach(BatteryId(1), Attachment::DischargeBus)?,
+            Attachment::Isolated
+        );
+        assert_eq!(m.generation(), g);
+        m.attach(BatteryId(0), Attachment::DischargeBus)?;
+        assert_ne!(m.generation(), g);
+        Ok(())
+    }
+
+    #[test]
+    fn attachments_agree_with_the_membership_lists() -> Result<(), UnknownUnitError> {
+        let mut m = SwitchMatrix::new(4);
+        m.attach(BatteryId(1), Attachment::ChargeBus)?;
+        m.attach(BatteryId(2), Attachment::DischargeBus)?;
+        m.inject_relay_fault(BatteryId(3), RelayRole::Charge, RelayFault::StuckClosed)?;
+        m.inject_relay_fault(BatteryId(3), RelayRole::Discharge, RelayFault::StuckClosed)?;
+        let roles: Vec<Attachment> = m.attachments().collect();
+        let on = |bus| {
+            (0..4)
+                .filter(|&i| roles[i] == bus)
+                .map(BatteryId)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(on(Attachment::ChargeBus), m.charging_units());
+        assert_eq!(on(Attachment::DischargeBus), m.discharging_units());
+        assert_eq!(on(Attachment::Isolated), m.isolated_units());
         Ok(())
     }
 

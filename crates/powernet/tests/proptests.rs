@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
-use ins_powernet::bus::LoadBus;
+use ins_powernet::bus::{LoadBus, OnBus};
 use ins_powernet::charger::ChargeController;
 use ins_powernet::converter::Converter;
 use ins_powernet::matrix::{Attachment, SwitchMatrix};
@@ -121,4 +121,58 @@ proptest! {
             prop_assert_eq!(count, 1, "{} in {} groups", id, count);
         }
     }
+
+    /// Settling and charging the units an `OnBus` role array selects
+    /// gives exactly what passing those units as a list gives.
+    #[test]
+    fn role_array_matches_unit_list(
+        draws in proptest::collection::vec((0.05f64..=1.0, 0u8..3), 0..5),
+        demand in 0.0f64..2000.0,
+        solar in 0.0f64..2000.0,
+    ) {
+        let roles: Vec<Attachment> = draws
+            .iter()
+            .map(|&(_, r)| match r {
+                0 => Attachment::Isolated,
+                1 => Attachment::ChargeBus,
+                _ => Attachment::DischargeBus,
+            })
+            .collect();
+        let fresh = || -> Vec<BatteryUnit> {
+            draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, _))| BatteryUnit::with_soc(BatteryId(i), BatteryParams::cabinet_24v(), Soc::new(s)))
+                .collect()
+        };
+        let (bus, ctrl, dt) = (LoadBus::prototype(), ChargeController::prototype(), Hours::new(0.02));
+        let (mut by_role, mut by_list) = (fresh(), fresh());
+        let settled = bus.settle(
+            Watts::new(demand),
+            Watts::new(solar),
+            &mut OnBus::new(&mut by_role, &roles, Attachment::DischargeBus),
+            dt,
+        );
+        let charged = ctrl.charge(&mut OnBus::new(&mut by_role, &roles, Attachment::ChargeBus), Watts::new(solar), dt);
+        let mut discharging = on_bus(&mut by_list, &roles, Attachment::DischargeBus);
+        let listed = bus.settle(Watts::new(demand), Watts::new(solar), &mut discharging, dt);
+        prop_assert_eq!(settled, listed);
+        let mut charging = on_bus(&mut by_list, &roles, Attachment::ChargeBus);
+        prop_assert_eq!(charged, ctrl.charge(&mut charging, Watts::new(solar), dt));
+        prop_assert_eq!(by_role, by_list);
+    }
+}
+
+/// The units of `units` whose role is `bus`, as a list.
+fn on_bus<'a>(
+    units: &'a mut [BatteryUnit],
+    roles: &[Attachment],
+    bus: Attachment,
+) -> Vec<&'a mut BatteryUnit> {
+    units
+        .iter_mut()
+        .zip(roles)
+        .filter(|(_, r)| **r == bus)
+        .map(|(u, _)| u)
+        .collect()
 }

@@ -133,7 +133,7 @@ impl Trace {
         }
         // Find the first sample at or after `time`. The two clamp
         // returns above guarantee `0 < idx < samples.len()`.
-        let idx = samples.partition_point(|s| s.time < time);
+        let idx = first_at_or_after(samples, first.time, last.time, time);
         // ins-lint: allow(L009) -- idx >= 1: time > first.time was handled above
         let (a, b) = (samples[idx - 1], samples[idx]);
         if a.time == b.time {
@@ -159,6 +159,24 @@ impl Trace {
         (0..max_points)
             .map(|i| self.samples[(i as f64 * stride) as usize])
             .collect()
+    }
+}
+
+/// `samples.partition_point(|s| s.time < time)` for `first < time < last`,
+/// in O(1) on an evenly spaced trace: the index such a trace would give
+/// is taken only if `samples[g - 1].time < time <= samples[g].time`, which
+/// in a chronological trace only the partition point satisfies. Other
+/// traces fall back to the binary search.
+fn first_at_or_after(samples: &[Sample], first: SimTime, last: SimTime, time: SimTime) -> usize {
+    let offset = (time - first).as_secs();
+    let span = (last - first).as_secs();
+    let guess = (samples.len() as u64 - 1)
+        .checked_mul(offset)
+        .map(|scaled| scaled.div_ceil(span))
+        .and_then(|g| usize::try_from(g).ok());
+    match guess.map(|g| (g, samples.get(g.wrapping_sub(1)), samples.get(g))) {
+        Some((g, Some(a), Some(b))) if a.time < time && time <= b.time => g,
+        _ => samples.partition_point(|s| s.time < time),
     }
 }
 

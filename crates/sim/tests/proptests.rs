@@ -188,4 +188,65 @@ proptest! {
             }
         }
     }
+
+    /// `Trace::value_at`'s O(1) index guess returns exactly what
+    /// interpolating at the binary search's index returns, bit for bit,
+    /// on evenly spaced (`shape` 0), jittered (1) and duplicate-timestamp
+    /// (2) traces, for queries before, inside, on and after the samples.
+    #[test]
+    fn value_at_matches_binary_search_reference(
+        shape in 0u8..3,
+        start in 0u64..1_000,
+        spacing in 1u64..30,
+        draws in proptest::collection::vec((0u64..30, -1e3f64..1e3), 1..80),
+        queries in proptest::collection::vec(0u64..3_000, 0..40),
+    ) {
+        let mut trace = Trace::new("prop");
+        let mut t = start;
+        for (i, &(jitter, value)) in draws.iter().enumerate() {
+            if i > 0 {
+                t += match shape {
+                    0 => spacing,
+                    1 => 1 + jitter,
+                    _ => spacing * (jitter % 2),
+                };
+            }
+            trace.record(SimTime::from_secs(t), value);
+        }
+        let on_and_between = trace.iter().flat_map(|s| {
+            let secs = s.time.as_secs();
+            [secs.saturating_sub(1), secs, secs + 1]
+        });
+        let around = [0, start, t + 1, t + 1_000];
+        let all: Vec<u64> = on_and_between.chain(around).chain(queries).collect();
+        for secs in all {
+            let time = SimTime::from_secs(secs);
+            prop_assert_eq!(
+                trace.value_at(time).map(f64::to_bits),
+                reference_value_at(&trace, time).map(f64::to_bits),
+                "shape {} at {}s", shape, secs
+            );
+        }
+    }
+}
+
+/// `Trace::value_at` as a plain binary search: the oracle for its fast
+/// index guess.
+fn reference_value_at(trace: &Trace, time: SimTime) -> Option<f64> {
+    let samples = trace.samples();
+    let (first, last) = (*samples.first()?, *samples.last()?);
+    if time <= first.time {
+        return Some(first.value);
+    }
+    if time >= last.time {
+        return Some(last.value);
+    }
+    let idx = samples.partition_point(|s| s.time < time);
+    let (a, b) = (samples[idx - 1], samples[idx]);
+    if a.time == b.time {
+        return Some(b.value);
+    }
+    let span = (b.time - a.time).as_secs() as f64;
+    let frac = (time - a.time).as_secs() as f64 / span;
+    Some(a.value + (b.value - a.value) * frac)
 }
